@@ -6,6 +6,8 @@ MNCS (average of ratios) indicators, compares indicators with rank
 correlations and scatter plots, and ships a seeded synthetic-corpus simulator
 for exercising the indicators' algebraic properties at desk scale.
 """
+import importlib
+
 from .baseline import (
     BaselineCell,
     BaselineTable,
@@ -42,24 +44,25 @@ from .indicators import (
     write_scores,
 )
 from .report import ScatterSpec, render_ranking, render_scatter
-from .simulate import (
-    FieldSpec,
-    SimulationConfig,
-    UnitSpec,
-    generate_corpus,
-    load_config,
-)
-from .stats import (
-    AgeCorrelationMatrix,
-    CorrelationReport,
-    PairCorrelation,
-    Trajectory,
-    age_correlation_matrix,
-    correlate_indicators,
-    pearson,
-    spearman,
-    trajectory,
-)
+
+# simulate and stats need numpy, so their names load on first use (PEP 562):
+# importing citnorm for ingest, baselines, scoring or plots does not pay for it.
+_LAZY_NAMES = {
+    "simulate": ("FieldSpec", "SimulationConfig", "UnitSpec", "generate_corpus", "load_config"),
+    "stats": (
+        "AgeCorrelationMatrix", "CorrelationReport", "PairCorrelation", "Trajectory",
+        "age_correlation_matrix", "correlate_indicators", "pearson", "spearman", "trajectory",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "AgeCorrelationMatrix",

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .baseline import BaselineTable, expected_citations
-from .corpus import Corpus, Publication, select_unit
+from .corpus import Corpus, Publication
 from .errors import ValidationError
 
 INDICATOR_NAMES = ("cpp_fcsm", "mncs1", "mncs2")
@@ -146,30 +146,47 @@ def mncs(
 
 def score_unit(corpus: Corpus, table: BaselineTable, unit_id: str) -> UnitScore:
     """CPP/FCSm, MNCS1 and MNCS2 for one unit, with exclusion tallies."""
-    pubs = select_unit(corpus, unit_id)
-    if not pubs:
-        raise ValidationError(f"unit '{unit_id}' has no publications")
-    scored = [score_publication(pub, table) for pub in pubs]
-    m1 = mncs(scored, corpus.census_year, exclude_recent=False)
-    m2 = mncs(scored, corpus.census_year, exclude_recent=True)
-    n_mncs2 = sum(1 for pub in pubs if pub.pub_year <= corpus.census_year - 1)
-    return UnitScore(
-        unit_id=unit_id,
-        n_total=len(pubs),
-        n_mncs2=n_mncs2,
-        n_excluded_zero_e=m1.n_excluded_zero_e,
-        cpp_fcsm=cpp_fcsm(scored),
-        mncs1=m1.value,
-        mncs2=m2.value,
-    )
+    return score_units(corpus, table, [unit_id])[0]
 
 
 def score_units(
     corpus: Corpus, table: BaselineTable, unit_ids: Iterable[str] | None = None
 ) -> list[UnitScore]:
-    """Score several units (all corpus units when ``unit_ids`` is None)."""
-    ids = corpus.unit_ids() if unit_ids is None else sorted(set(unit_ids))
-    return [score_unit(corpus, table, uid) for uid in ids]
+    """Score several units (all corpus units when ``unit_ids`` is None).
+
+    One score per distinct requested unit, ascending by id. A single pass over
+    the corpus in id order scores each publication of a requested unit once
+    and credits it to every such unit it lists (a repeated unit counts once),
+    so cost is corpus size plus unit memberships and per-unit sums keep id
+    order. Other units' publications are never scored or looked up.
+    """
+    wanted = None if unit_ids is None else set(unit_ids)
+    members: dict[str, list[ScoredPublication]] = {}
+    for pub in corpus.publications:
+        credited = set(pub.unit_ids) if wanted is None else wanted.intersection(pub.unit_ids)
+        if not credited:
+            continue
+        scored = score_publication(pub, table)
+        for uid in credited:
+            members.setdefault(uid, []).append(scored)
+    census_year = corpus.census_year
+    scores = []
+    for uid in sorted(members) if wanted is None else sorted(wanted):
+        scored = members.get(uid)
+        if scored is None:
+            raise ValidationError(f"unit '{uid}' has no publications")
+        m1 = mncs(scored, census_year, exclude_recent=False)
+        m2 = mncs(scored, census_year, exclude_recent=True)
+        scores.append(UnitScore(
+            unit_id=uid,
+            n_total=len(scored),
+            n_mncs2=sum(1 for pub in scored if pub.pub_year <= census_year - 1),
+            n_excluded_zero_e=m1.n_excluded_zero_e,
+            cpp_fcsm=cpp_fcsm(scored),
+            mncs1=m1.value,
+            mncs2=m2.value,
+        ))
+    return scores
 
 
 def rank_units(scores: Sequence[UnitScore], by: str, top: int) -> list[UnitScore]:

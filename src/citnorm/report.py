@@ -14,7 +14,7 @@ import csv
 import io
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import ValidationError
 from .indicators import INDICATOR_NAMES, UnitScore, format_value, rank_units
@@ -80,7 +80,7 @@ def render_scatter(scores: Sequence[UnitScore], spec: ScatterSpec) -> str:
         px = _to_px(x, axis_max)
         py = CANVAS - _to_px(y, axis_max)
         color = RED if score.n_mncs2 <= spec.threshold else BLUE
-        title = f"<title>{escape(score.unit_id)}</title>"
+        title = f"<title>{escape(score.unit_id, quote=False)}</title>"
         if color == RED:
             markers.append(
                 f'<rect x="{px - MARKER:.2f}" y="{py - MARKER:.2f}" '
@@ -123,9 +123,9 @@ def render_scatter(scores: Sequence[UnitScore], spec: ScatterSpec) -> str:
         f'text-anchor="middle">{axis_max:.2f}</text>',
         # axis labels
         f'<text x="{CANVAS / 2}" y="{CANVAS - 8}" font-size="16" '
-        f'text-anchor="middle">{escape(spec.x_indicator)}</text>',
+        f'text-anchor="middle">{escape(spec.x_indicator, quote=False)}</text>',
         f'<text x="14" y="{CANVAS / 2}" font-size="16" text-anchor="middle" '
-        f'transform="rotate(-90 14 {CANVAS / 2})">{escape(spec.y_indicator)}</text>',
+        f'transform="rotate(-90 14 {CANVAS / 2})">{escape(spec.y_indicator, quote=False)}</text>',
     ]
     lines.extend(markers)
     lines.append("</svg>")

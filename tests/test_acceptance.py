@@ -24,6 +24,7 @@ from citnorm.indicators import (
     mncs,
     normalized_score,
     score_unit,
+    score_units,
 )
 from citnorm.simulate import FieldSpec, SimulationConfig, UnitSpec, generate_corpus
 from citnorm.stats import age_correlation_matrix, correlate_indicators, pearson, spearman
@@ -202,7 +203,7 @@ def test_c07_recency_filter_tightens_correlation():
             )
             corpus = generate_corpus(config)
             table = compute_baselines(corpus)
-            scores = [score_unit(corpus, table, u.unit_id) for u in units]
+            scores = score_units(corpus, table)
             report = correlate_indicators(scores)
             by_pair = {(p.label_x, p.label_y): p for p in report.pairs}
             p_m1 = by_pair[("cpp_fcsm", "mncs1")].pearson

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citnorm
 from citnorm.cli import main
 
 CONFIG = {
@@ -193,3 +198,29 @@ def test_unknown_indicator_choice_rejected(workdir, capsys):
     code = main(["rank", "--scores", str(workdir / "scores.csv"),
                  "--by", "h_index", "--top", "3"])
     assert code == 1
+
+
+def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
+    corpus = str(workdir / "corpus.jsonl")
+    baselines, scores = str(tmp_path / "baselines.csv"), str(tmp_path / "scores.csv")
+    commands = [
+        ["--help"],
+        ["baselines", "--corpus", corpus, "--census", "2009", "--out", baselines],
+        ["score", "--corpus", corpus, "--census", "2009", "--units", "all",
+         "--baselines", baselines, "--out", scores],
+        ["plot", "--scores", scores, "--x", "cpp_fcsm", "--y", "mncs1",
+         "--out", str(tmp_path / "scatter.svg")],
+        ["rank", "--scores", scores, "--by", "mncs2", "--top", "2"],
+    ]
+    src = str(Path(citnorm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in commands:
+        # -X importtime lists every module the run imports on stderr
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "citnorm", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (argv[0], proc.stderr[-500:])
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "citnorm.cli" in imported
+        assert "numpy" not in imported, f"{argv[0]} imported numpy"

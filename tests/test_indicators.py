@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citnorm.baseline import BaselineCell, BaselineTable, compute_baselines
+from citnorm.corpus import select_unit
 from citnorm.errors import ValidationError
 from citnorm.indicators import (
     ScoredPublication,
@@ -18,6 +19,7 @@ from citnorm.indicators import (
     normalized_score,
     rank_units,
     read_scores,
+    score_publication,
     score_unit,
     score_units,
     write_scores,
@@ -166,10 +168,38 @@ class TestScoreUnit:
         with pytest.raises(ValidationError, match="no publications"):
             score_unit(corpus, table, "nope")
 
+    def test_first_absent_unit_in_sorted_order_is_named(self):
+        corpus, table = golden_corpus_and_table()
+        with pytest.raises(ValidationError, match=r"^unit 'nope' has no publications$"):
+            score_units(corpus, table, ["zzz", "A", "nope"])
+
     def test_score_units_all(self):
         corpus, table = golden_corpus_and_table()
         scores = score_units(corpus, table)
         assert [s.unit_id for s in scores] == ["A"]
+
+    def test_unit_listed_twice_counts_once(self):
+        corpus = make_corpus([
+            make_pub("P1", field="F", year=2005, citations=4, units=("A", "A")),
+            make_pub("P2", field="F", year=2005, citations=2, units=("B",)),
+        ])
+        table = compute_baselines(corpus)
+        score = score_unit(corpus, table, "A")
+        assert (score.n_total, score.n_mncs2) == (1, 1)
+        assert score.mncs1 == 4 / 3
+        assert score_units(corpus, table, ["A", "A"]) == [score]
+
+    def test_subset_needs_only_its_own_cells(self):
+        corpus = make_corpus([
+            make_pub("P1", field="F", year=2005, citations=4, units=("A",)),
+            make_pub("P2", field="G", year=2006, citations=2, units=("B",)),
+            make_pub("P3", field="G", year=2006, citations=1, units=()),
+        ])
+        partial = BaselineTable({("F", 2005): BaselineCell(2.0, 7)}, census_year=2010)
+        [score] = score_units(corpus, partial, ["A"])
+        assert (score.unit_id, score.n_total, score.cpp_fcsm) == ("A", 1, 2.0)
+        with pytest.raises(ValidationError, match="no baseline cell for field 'G'"):
+            score_units(corpus, partial)
 
 
 def us(uid, cpp=None, m1=None, m2=None, n=10, n2=9):
@@ -344,6 +374,58 @@ def test_global_scale_invariance(k):
         other = score_unit(corpus_k, table_k, uid)
         for name in ("cpp_fcsm", "mncs1", "mncs2"):
             assert getattr(other, name) == pytest.approx(getattr(one, name), rel=1e-12)
+
+
+def reference_scores(corpus, table, unit_ids):
+    """Per-unit scoring through select_unit: one corpus scan per unit."""
+    scores = []
+    for uid in sorted(set(unit_ids)):
+        pubs = select_unit(corpus, uid)
+        scored = [score_publication(pub, table) for pub in pubs]
+        m1 = mncs(scored, corpus.census_year, exclude_recent=False)
+        m2 = mncs(scored, corpus.census_year, exclude_recent=True)
+        scores.append(UnitScore(
+            unit_id=uid,
+            n_total=len(pubs),
+            n_mncs2=sum(1 for pub in pubs if pub.pub_year <= corpus.census_year - 1),
+            n_excluded_zero_e=m1.n_excluded_zero_e,
+            cpp_fcsm=cpp_fcsm(scored),
+            mncs1=m1.value,
+            mncs2=m2.value,
+        ))
+    return scores
+
+
+@st.composite
+def mixed_corpora(draw):
+    """Multi-unit, multi-field and unit-less publications, zero-citation
+    cells (e = 0) and census-year publications, in shuffled id order."""
+    n = draw(st.integers(1, 40))
+    numbers = draw(st.permutations(range(n)))
+    pubs = [
+        make_pub(
+            f"p{k}",
+            units=tuple(draw(st.lists(st.sampled_from(["u0", "u1", "u2", "u3", "u4"]),
+                                      max_size=3))),
+            fields=tuple(draw(st.lists(st.sampled_from(["F", "G", "H"]),
+                                       min_size=1, max_size=3))),
+            year=draw(st.integers(2007, 2010)),
+            citations=draw(st.sampled_from([0, 0, 0, 1, 2, 7, 30])),
+        )
+        for k in numbers
+    ]
+    return make_corpus(pubs, census_year=2010, first_year=2007)
+
+
+@given(mixed_corpora(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_score_units_equals_per_unit_scan(corpus, data):
+    table = compute_baselines(corpus)
+    all_ids = corpus.unit_ids()
+    assert score_units(corpus, table) == reference_scores(corpus, table, all_ids)
+    if all_ids:
+        subset = data.draw(st.lists(st.sampled_from(all_ids), max_size=8))
+        assert score_units(corpus, table, subset) == reference_scores(corpus, table, subset)
 
 
 def test_scores_csv_round_trip(tmp_path):
