@@ -19,7 +19,6 @@ from .baseline import (
 from .corpus import (
     Corpus,
     Publication,
-    Unit,
     corpus_to_jsonl,
     parse_corpus,
     select_unit,
@@ -44,24 +43,27 @@ from .indicators import (
     write_scores,
 )
 from .report import ScatterSpec, render_ranking, render_scatter
+from .stats import (
+    AgeCorrelationMatrix,
+    CorrelationReport,
+    PairCorrelation,
+    Trajectory,
+    age_correlation_matrix,
+    correlate_indicators,
+    pearson,
+    spearman,
+    trajectory,
+)
 
-# simulate and stats need numpy, so their names load on first use (PEP 562):
-# importing citnorm for ingest, baselines, scoring or plots does not pay for it.
-_LAZY_NAMES = {
-    "simulate": ("FieldSpec", "SimulationConfig", "UnitSpec", "generate_corpus", "load_config"),
-    "stats": (
-        "AgeCorrelationMatrix", "CorrelationReport", "PairCorrelation", "Trajectory",
-        "age_correlation_matrix", "correlate_indicators", "pearson", "spearman", "trajectory",
-    ),
-}
-_LAZY = {name: module for module, names in _LAZY_NAMES.items() for name in names}
+# simulate needs numpy, so its names load on first use (PEP 562): importing
+# citnorm for ingest, baselines, scoring, statistics or plots does not pay for it.
+_SIMULATE_NAMES = {"FieldSpec", "SimulationConfig", "UnitSpec", "generate_corpus", "load_config"}
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _SIMULATE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    return getattr(importlib.import_module(".simulate", __name__), name)
 
 
 __all__ = [
@@ -80,7 +82,6 @@ __all__ = [
     "ScoredPublication",
     "SimulationConfig",
     "Trajectory",
-    "Unit",
     "UnitScore",
     "UnitSpec",
     "ValidationError",

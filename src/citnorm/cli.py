@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import baseline, corpus, indicators, report
+from . import baseline, corpus, indicators, report, stats
 from .errors import ValidationError
 
 
@@ -126,23 +126,20 @@ def _run(args) -> None:
         indicators.write_scores(scores, args.out)
 
     elif args.command == "correlate":
-        from . import stats  # numpy loads only for the commands that use it
         scores = indicators.read_scores(args.scores)
         report_ = stats.correlate_indicators(scores, min_pubs=args.min_pubs)
         stats.write_correlation_report(report_, args.out)
 
     elif args.command == "trajectory":
-        from . import stats
         traj = stats.trajectory(_cohort(args), args.field, args.pub_year)
         stats.write_trajectory(traj, args.out)
 
     elif args.command == "age-corr":
-        from . import stats
         matrix = stats.age_correlation_matrix(_cohort(args))
         stats.write_age_matrix(matrix, args.out)
 
     elif args.command == "simulate":
-        from . import simulate
+        from . import simulate  # numpy loads only for the commands that use it
         config = simulate.load_config(args.config)
         corpus.write_corpus(simulate.generate_corpus(config), args.out)
 

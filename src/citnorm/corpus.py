@@ -16,9 +16,10 @@ Publication file format (JSON Lines, UTF-8, one object per line):
     field_ids          array of strings, non-empty
     pub_year           integer calendar year
     doc_type           string label, carried but never used for normalization
-    citations_total    non-negative integer, cumulative at the census date
+    citations_total    non-negative integer up to 2**53 - 1, cumulative at the census date
     citations_by_year  optional object mapping year-string -> cumulative count
 
+Integers are JSON integers: true and false are rejected, never read as 1 and 0.
 Unknown keys are rejected with an error naming the key. Publications are kept
 in ascending id order everywhere, so downstream floating-point summations are
 bit-reproducible.
@@ -27,14 +28,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import Iterator
 
 from .errors import ValidationError
 
 _REQUIRED_KEYS = ("id", "unit_ids", "field_ids", "pub_year", "doc_type", "citations_total")
-_OPTIONAL_KEYS = ("citations_by_year",)
-_ALL_KEYS = frozenset(_REQUIRED_KEYS) | frozenset(_OPTIONAL_KEYS)
+_REQUIRED = frozenset(_REQUIRED_KEYS)
+_ALL_KEYS = _REQUIRED | {"citations_by_year"}
+# Largest integer a float64 holds exactly; indicator arithmetic converts counts to float.
+_MAX_CITATIONS = 2 ** 53 - 1
 
 
 @dataclass(frozen=True)
@@ -68,32 +73,37 @@ class Publication:
         for uid in self.unit_ids:
             if not isinstance(uid, str) or not uid:
                 raise ValidationError(f"publication {self.id}: empty unit id")
-        if not isinstance(self.pub_year, int):
+        # type(), not isinstance(): bool is an int subclass, and a JSON true is no count
+        if type(self.pub_year) is not int:
             raise ValidationError(f"publication {self.id}: pub_year must be an integer")
-        if not isinstance(self.citations_total, int) or self.citations_total < 0:
+        total = self.citations_total
+        if type(total) is not int:
+            raise ValidationError(f"publication {self.id}: citations_total must be an integer")
+        if total < 0:
             raise ValidationError(f"publication {self.id}: negative citation count")
-        if self.citations_by_year is not None:
-            counts = {int(y): int(c) for y, c in self.citations_by_year.items()}
-            object.__setattr__(self, "citations_by_year", counts)
-            previous = None
-            for year in sorted(counts):
+        if total > _MAX_CITATIONS:
+            raise ValidationError(f"publication {self.id}: citations_total exceeds 2**53 - 1")
+        counts = self.citations_by_year
+        if counts is not None:
+            try:
+                years = sorted(counts)
+            except TypeError:  # mixed key types; the loop below names the first non-int
+                years = list(counts)
+            previous = 0
+            for year in years:
                 count = counts[year]
-                if count < 0:
-                    raise ValidationError(f"publication {self.id}: negative citation count")
-                if previous is not None and count < previous:
-                    raise ValidationError(
-                        f"publication {self.id}: non-monotone citations_by_year at {year}"
-                    )
+                if type(year) is not int or type(count) is not int or count < previous:
+                    raise ValidationError(f"publication {self.id}: {_count_fault(year, count)}")
                 previous = count
 
 
-@dataclass(frozen=True)
-class Unit:
-    """A scored entity (group, institution, country, journal...)."""
-
-    id: str
-    label: str
-    pub_count: int
+def _count_fault(year, count) -> str:
+    """What is wrong with a citations_by_year entry that failed the checks."""
+    if type(year) is not int:
+        return f"citations_by_year year {year!r} must be an integer"
+    if type(count) is not int:
+        return f"citations_by_year value for {year} must be an integer"
+    return "negative citation count" if count < 0 else f"non-monotone citations_by_year at {year}"
 
 
 @dataclass(frozen=True)
@@ -110,36 +120,38 @@ class Corpus:
     first_year: int
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.publications, key=lambda p: p.id))
-        object.__setattr__(self, "publications", ordered)
-        if self.first_year > self.census_year:
-            raise ValidationError(
-                f"first_year {self.first_year} is after census_year {self.census_year}"
-            )
-        seen: set[str] = set()
-        for pub in ordered:
-            if pub.id in seen:
-                raise ValidationError(f"duplicate id {pub.id}")
-            seen.add(pub.id)
-            self._check_publication(pub)
-
-    def _check_publication(self, pub: Publication) -> None:
-        if not (self.first_year <= pub.pub_year <= self.census_year):
-            raise ValidationError(
-                f"publication {pub.id}: pub_year {pub.pub_year} outside "
-                f"[{self.first_year}, {self.census_year}]"
-            )
-        if pub.citations_by_year is not None:
-            expected_years = list(range(pub.pub_year, self.census_year + 1))
-            if sorted(pub.citations_by_year) != expected_years:
+        first, census = self.first_year, self.census_year
+        if first > census:
+            raise ValidationError(f"first_year {first} is after census_year {census}")
+        publications = tuple(self.publications)
+        ids = [pub.id for pub in publications]
+        # strictly increasing ids are already in canonical order and hold no duplicate
+        if not all(map(lt, ids, ids[1:])):
+            publications = tuple(sorted(publications, key=attrgetter("id")))
+            ids = [pub.id for pub in publications]
+            for pid, next_id in zip(ids, ids[1:]):
+                if pid == next_id:
+                    raise ValidationError(f"duplicate id {pid}")
+        object.__setattr__(self, "publications", publications)
+        for pub in publications:
+            year = pub.pub_year
+            if not first <= year <= census:
+                raise ValidationError(
+                    f"publication {pub.id}: pub_year {year} outside [{first}, {census}]"
+                )
+            counts = pub.citations_by_year
+            if counts is None:
+                continue
+            # distinct integer years, as many as the span, with its two ends: no gap
+            if len(counts) != census - year + 1 or min(counts) != year or max(counts) != census:
                 raise ValidationError(
                     f"publication {pub.id}: citations_by_year must cover every year "
-                    f"from {pub.pub_year} to {self.census_year} with no gaps"
+                    f"from {year} to {census} with no gaps"
                 )
-            if pub.citations_by_year[self.census_year] != pub.citations_total:
+            if counts[census] != pub.citations_total:
                 raise ValidationError(
                     f"publication {pub.id}: citations_by_year at census year "
-                    f"{self.census_year} does not equal citations_total"
+                    f"{census} does not equal citations_total"
                 )
 
     def __len__(self) -> int:
@@ -153,14 +165,6 @@ class Corpus:
         ids = {uid for pub in self.publications for uid in pub.unit_ids}
         return sorted(ids)
 
-    def units(self) -> list[Unit]:
-        """Derived unit records with publication tallies, ascending by id."""
-        counts: dict[str, int] = {}
-        for pub in self.publications:
-            for uid in pub.unit_ids:
-                counts[uid] = counts.get(uid, 0) + 1
-        return [Unit(id=uid, label=uid, pub_count=counts[uid]) for uid in sorted(counts)]
-
 
 def select_unit(corpus: Corpus, unit_id: str) -> list[Publication]:
     """Publications credited to ``unit_id``, ascending by id (possibly empty)."""
@@ -168,48 +172,39 @@ def select_unit(corpus: Corpus, unit_id: str) -> list[Publication]:
 
 
 def _publication_from_obj(obj: dict, line_no: int) -> Publication:
+    """Checks that need the raw JSON object; :class:`Publication` checks the values."""
     if not isinstance(obj, dict):
         raise ValidationError(f"line {line_no}: expected a JSON object")
-    for key in obj:
-        if key not in _ALL_KEYS:
-            raise ValidationError(f"line {line_no}: unknown key '{key}'")
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise ValidationError(f"line {line_no}: missing key '{key}'")
-
-    counts_obj = obj.get("citations_by_year")
-    counts: dict[int, int] | None = None
-    if counts_obj is not None:
-        if not isinstance(counts_obj, dict):
-            raise ValidationError(f"line {line_no}: citations_by_year must be an object")
-        counts = {}
-        for year_str, value in counts_obj.items():
-            try:
-                year = int(year_str)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"line {line_no}: citations_by_year key '{year_str}' is not a year"
-                ) from None
-            if not isinstance(value, int):
-                raise ValidationError(
-                    f"line {line_no}: citations_by_year value for {year} must be an integer"
-                )
-            counts[year] = value
-
-    if not isinstance(obj["pub_year"], int):
-        raise ValidationError(f"line {line_no}: pub_year must be an integer")
-    if not isinstance(obj["citations_total"], int):
-        raise ValidationError(f"line {line_no}: citations_total must be an integer")
+    if not _ALL_KEYS.issuperset(obj):
+        unknown = next(key for key in obj if key not in _ALL_KEYS)
+        raise ValidationError(f"line {line_no}: unknown key '{unknown}'")
+    if not obj.keys() >= _REQUIRED:
+        missing = next(key for key in _REQUIRED_KEYS if key not in obj)
+        raise ValidationError(f"line {line_no}: missing key '{missing}'")
     if not isinstance(obj["unit_ids"], list) or not isinstance(obj["field_ids"], list):
         raise ValidationError(f"line {line_no}: unit_ids and field_ids must be arrays")
     if not isinstance(obj["doc_type"], str):
         raise ValidationError(f"line {line_no}: doc_type must be a string")
 
+    counts = obj.get("citations_by_year")
+    if counts is not None:
+        if not isinstance(counts, dict):
+            raise ValidationError(f"line {line_no}: citations_by_year must be an object")
+        by_year = {}
+        for year, count in counts.items():
+            try:
+                by_year[int(year)] = count
+            except ValueError:
+                raise ValidationError(
+                    f"line {line_no}: citations_by_year key '{year}' is not a year"
+                ) from None
+        counts = by_year
+
     try:
         return Publication(
             id=obj["id"],
-            unit_ids=tuple(obj["unit_ids"]),
-            field_ids=tuple(obj["field_ids"]),
+            unit_ids=obj["unit_ids"],
+            field_ids=obj["field_ids"],
             pub_year=obj["pub_year"],
             doc_type=obj["doc_type"],
             citations_total=obj["citations_total"],
@@ -227,7 +222,7 @@ def parse_corpus(path: str | Path, census_year: int, first_year: int | None = No
     offending line number.
     """
     publications: list[Publication] = []
-    seen_lines: dict[str, int] = {}
+    seen_ids: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -237,9 +232,9 @@ def parse_corpus(path: str | Path, census_year: int, first_year: int | None = No
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"line {line_no}: malformed JSON: {exc.msg}") from None
             pub = _publication_from_obj(obj, line_no)
-            if pub.id in seen_lines:
+            if pub.id in seen_ids:
                 raise ValidationError(f"line {line_no}: duplicate id {pub.id}")
-            seen_lines[pub.id] = line_no
+            seen_ids.add(pub.id)
             if pub.pub_year > census_year or (first_year is not None and pub.pub_year < first_year):
                 low = first_year if first_year is not None else "-"
                 raise ValidationError(
@@ -286,27 +281,29 @@ def infer_census_year(path: str | Path) -> int:
     return latest
 
 
-def publication_to_obj(pub: Publication) -> dict:
-    """JSON-ready dict for one publication, with a stable key order."""
-    obj: dict = {
-        "id": pub.id,
-        "unit_ids": list(pub.unit_ids),
-        "field_ids": list(pub.field_ids),
-        "pub_year": pub.pub_year,
-        "doc_type": pub.doc_type,
-        "citations_total": pub.citations_total,
-    }
-    if pub.citations_by_year is not None:
-        obj["citations_by_year"] = {
-            str(year): pub.citations_by_year[year] for year in sorted(pub.citations_by_year)
-        }
-    return obj
+def _jsonl_line(pub: Publication) -> str:
+    """``json.dumps(obj, separators=(",", ":"))`` of the record, built directly.
+
+    Keys in format order and ``citations_by_year`` in ascending years; strings
+    go through json's own ASCII escaper, and every number is a plain int.
+    """
+    units = ",".join(map(_json_str, pub.unit_ids))
+    fields = ",".join(map(_json_str, pub.field_ids))
+    line = (
+        f'{{"id":{_json_str(pub.id)},"unit_ids":[{units}],"field_ids":[{fields}],'
+        f'"pub_year":{pub.pub_year},"doc_type":{_json_str(pub.doc_type)},'
+        f'"citations_total":{pub.citations_total}'
+    )
+    counts = pub.citations_by_year
+    if counts is None:
+        return line + "}\n"
+    by_year = ",".join([f'"{year}":{counts[year]}' for year in sorted(counts)])
+    return f'{line},"citations_by_year":{{{by_year}}}}}\n'
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
     """Serialize a corpus back to JSON Lines text, in canonical order."""
-    lines = [json.dumps(publication_to_obj(pub), separators=(",", ":")) for pub in corpus]
-    return "".join(line + "\n" for line in lines)
+    return "".join(map(_jsonl_line, corpus.publications))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

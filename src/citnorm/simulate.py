@@ -126,9 +126,10 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
     shape_rng = np.random.default_rng(_SHAPE_SEED)
     count_rng = np.random.default_rng(config.seed)
     first, census = config.first_year, config.census_year
-    n_years = census - first + 1
     year_grid = np.arange(first, census + 1)
+    years = year_grid.tolist()
     rates = np.array([f.rate for f in config.fields], dtype=float)
+    field_ids = [(f.field_id,) for f in config.fields]
 
     total = sum(u.n_pubs for u in config.units)
     width = max(8, len(str(total - 1)))
@@ -150,20 +151,17 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
         mean = lam[:, None] * (after + config.same_year_damping * same)
         increments = count_rng.poisson(mean)  # Poisson(0) == 0 before pub year
         cumulative = increments.cumsum(axis=1)
-        for i in range(n):
-            y0 = int(pub_years[i])
-            counts = {
-                int(year_grid[j]): int(cumulative[i, j])
-                for j in range(y0 - first, n_years)
-            }
+        unit_ids = (unit.unit_id,)
+        for y0, f, row in zip(pub_years.tolist(), field_idx.tolist(), cumulative.tolist()):
+            start = y0 - first
             publications.append(Publication(
                 id=f"{serial:0{width}d}",
-                unit_ids=(unit.unit_id,),
-                field_ids=(config.fields[field_idx[i]].field_id,),
+                unit_ids=unit_ids,
+                field_ids=field_ids[f],
                 pub_year=y0,
                 doc_type="article",
-                citations_total=int(cumulative[i, -1]),
-                citations_by_year=counts,
+                citations_total=row[-1],
+                citations_by_year=dict(zip(years[start:], row[start:])),
             ))
             serial += 1
     return Corpus(tuple(publications), census_year=census, first_year=first)

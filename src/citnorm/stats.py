@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Publication
 from .errors import ValidationError
 from .indicators import UnitScore
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INDICATOR_PAIRS = (
     ("cpp_fcsm", "mncs1"),
@@ -27,6 +28,7 @@ _INDICATOR_PAIRS = (
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the mean of the ranks they span."""
+    import numpy as np  # imported here so that trajectory runs without numpy
     a = np.asarray(values, dtype=float)
     order = np.argsort(a, kind="stable")
     ranks = np.empty(len(a), dtype=float)
@@ -46,6 +48,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise ValidationError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValidationError("need at least two observations")
+    import numpy as np
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
     if np.all(ax == ax[0]) or np.all(ay == ay[0]):
@@ -146,6 +149,7 @@ def _shared_year_domain(pubs: Sequence[Publication]) -> list[int]:
 
 def age_correlation_matrix(pubs: Sequence[Publication]) -> AgeCorrelationMatrix:
     """Cross-year citation-count correlations for same-year publications."""
+    import numpy as np
     ordered = sorted(pubs, key=lambda p: p.id)
     years = _shared_year_domain(ordered)
     data = np.array(

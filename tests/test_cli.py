@@ -200,11 +200,38 @@ def test_unknown_indicator_choice_rejected(workdir, capsys):
     assert code == 1
 
 
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh interpreter that imports this checkout's citnorm."""
+    src = str(Path(citnorm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("command", ["baselines", "score"])
+def test_citation_count_beyond_float_range_is_one_line_error(tmp_path, command):
+    corpus = tmp_path / "huge.jsonl"
+    corpus.write_text(json.dumps({
+        "id": "P1", "unit_ids": ["u1"], "field_ids": ["f1"], "pub_year": 2005,
+        "doc_type": "article", "citations_total": 10 ** 400,
+    }) + "\n", encoding="utf-8")
+    units = ["--units", "all"] if command == "score" else []
+    proc = _run_module("-m", "citnorm", command, "--corpus", str(corpus), "--census", "2009",
+                       *units, "--out", str(tmp_path / "out.csv"))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: line 1: publication P1: citations_total exceeds 2**53 - 1"
+    ]
+
+
 def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
     corpus = str(workdir / "corpus.jsonl")
     baselines, scores = str(tmp_path / "baselines.csv"), str(tmp_path / "scores.csv")
     commands = [
         ["--help"],
+        ["trajectory", "--corpus", corpus, "--census", "2009", "--field", "slow",
+         "--pub-year", "2003", "--out", str(tmp_path / "trajectory.csv")],
         ["baselines", "--corpus", corpus, "--census", "2009", "--out", baselines],
         ["score", "--corpus", corpus, "--census", "2009", "--units", "all",
          "--baselines", baselines, "--out", scores],
@@ -212,13 +239,9 @@ def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
          "--out", str(tmp_path / "scatter.svg")],
         ["rank", "--scores", scores, "--by", "mncs2", "--top", "2"],
     ]
-    src = str(Path(citnorm.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv in commands:
         # -X importtime lists every module the run imports on stderr
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "citnorm", *argv],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = _run_module("-X", "importtime", "-m", "citnorm", *argv)
         assert proc.returncode == 0, (argv[0], proc.stderr[-500:])
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}

@@ -95,6 +95,26 @@ class TestParse:
         with pytest.raises(ValidationError, match="non-monotone"):
             parse_corpus(path, census_year=2010, first_year=2000)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"pub_year": True}, "pub_year must be an integer"),
+        ({"citations_total": True}, "citations_total must be an integer"),
+        ({"pub_year": 2009, "citations_total": 1, "citations_by_year": {"2009": 0, "2010": True}},
+         "citations_by_year value for 2010 must be an integer"),
+    ])
+    def test_json_booleans_are_not_integers(self, tmp_path, overrides, message):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P1"), record("P2", **overrides)])
+        with pytest.raises(ValidationError, match=f"^line 2: publication P2: {message}$"):
+            parse_corpus(path, census_year=2010, first_year=2000)
+
+    def test_citation_total_bounded_by_exact_float_range(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P1", citations_total=2 ** 53 - 1)])
+        assert parse_corpus(path, census_year=2010).publications[0].citations_total == 2 ** 53 - 1
+        write_jsonl(path, [record("P1"), record("P2", citations_total=2 ** 53)])
+        with pytest.raises(ValidationError, match=r"^line 2: .*exceeds 2\*\*53 - 1$"):
+            parse_corpus(path, census_year=2010)
+
     def test_default_first_year_is_min(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1", pub_year=2003), record("P2", pub_year=2007)])
@@ -122,6 +142,10 @@ class TestInvariants:
                        by_year={2008: 1, 2010: 5})  # 2009 missing
         with pytest.raises(ValidationError, match="no gaps"):
             make_corpus([pub])
+        pub = make_pub("P1", year=2008, citations=5,
+                       by_year={2007: 0, 2008: 1, 2010: 5})  # as many years, one too early
+        with pytest.raises(ValidationError, match="no gaps"):
+            make_corpus([pub])
 
     def test_counts_must_end_at_total(self):
         pub = make_pub("P1", year=2009, citations=5, by_year={2009: 1, 2010: 4})
@@ -132,6 +156,19 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="field_ids"):
             make_pub("P1", fields=())
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("pub_year", {"year": True}),
+        ("citations_total", {"citations": True}),
+        ("citations_by_year", {"year": 2009, "citations": 1, "by_year": {2009: 0, 2010: True}}),
+    ])
+    def test_booleans_are_not_integers(self, field, kwargs):
+        with pytest.raises(ValidationError, match=field):
+            make_pub("P1", **kwargs)
+
+    def test_year_strings_are_not_coerced(self):
+        with pytest.raises(ValidationError, match="year '2009' must be an integer"):
+            make_pub("P1", year=2009, citations=1, by_year={"2009": 0, 2010: 1})
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate id"):
             make_corpus([make_pub("P1"), make_pub("P1")])
@@ -139,18 +176,6 @@ class TestInvariants:
     def test_publications_sorted_by_id(self):
         corpus = make_corpus([make_pub("b"), make_pub("a"), make_pub("c")])
         assert [p.id for p in corpus] == ["a", "b", "c"]
-
-    def test_unit_pub_counts(self):
-        corpus = make_corpus([
-            make_pub("P1", units=("u1",)),
-            make_pub("P2", units=("u1", "u2")),
-            make_pub("P3", units=()),
-        ])
-        units = corpus.units()
-        total = sum(u.pub_count for u in units)
-        tagged = sum(1 for p in corpus if p.unit_ids)
-        assert total == 3 and tagged == 2
-        assert total >= tagged  # equality only without multi-unit publications
 
 
 class TestSelectUnit:
@@ -193,8 +218,17 @@ def test_round_trip_fixed(tmp_path):
 ids = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6)
 
 
+# JSON-escaped characters (quote, backslash, control characters) and non-ASCII text
+hostile_chars = st.one_of(
+    st.sampled_from('"\\/\x00\n\x1f\x7f\u00e9\u2028\u6f22\U0001f600'), st.characters()
+)
+hostile = st.text(hostile_chars, min_size=1, max_size=6)
+
+
 @st.composite
-def corpora(draw):
+def corpora(draw, ids=ids, units=st.sampled_from(["u1", "u2", "u3"]),
+            fields=st.sampled_from(["f1", "f2"]),
+            doc_types=st.sampled_from(["article", "review", "letter"])):
     first, census = 2000, 2006
     unique_ids = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
     pubs = []
@@ -215,12 +249,10 @@ def corpora(draw):
             total = running
         pubs.append(Publication(
             id=pid,
-            unit_ids=tuple(draw(st.lists(st.sampled_from(["u1", "u2", "u3"]),
-                                         max_size=2, unique=True))),
-            field_ids=tuple(draw(st.lists(st.sampled_from(["f1", "f2"]),
-                                          min_size=1, max_size=2, unique=True))),
+            unit_ids=tuple(draw(st.lists(units, max_size=2, unique=True))),
+            field_ids=tuple(draw(st.lists(fields, min_size=1, max_size=2, unique=True))),
             pub_year=year,
-            doc_type=draw(st.sampled_from(["article", "review", "letter"])),
+            doc_type=draw(doc_types),
             citations_total=total,
             citations_by_year=by_year,
         ))
@@ -236,3 +268,31 @@ def test_round_trip_property(tmp_path_factory, corpus):
     again = parse_corpus(path, census_year=corpus.census_year, first_year=corpus.first_year)
     assert again == corpus
     assert corpus_to_jsonl(again) == text
+
+
+def reference_jsonl_line(pub):
+    obj = {
+        "id": pub.id,
+        "unit_ids": list(pub.unit_ids),
+        "field_ids": list(pub.field_ids),
+        "pub_year": pub.pub_year,
+        "doc_type": pub.doc_type,
+        "citations_total": pub.citations_total,
+    }
+    if pub.citations_by_year is not None:
+        obj["citations_by_year"] = {
+            str(year): pub.citations_by_year[year] for year in sorted(pub.citations_by_year)
+        }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+@given(corpora(ids=hostile, units=hostile, fields=hostile,
+               doc_types=st.text(hostile_chars, max_size=6)))
+@settings(max_examples=100)
+def test_writer_matches_json_dumps_byte_for_byte(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("writer") / "corpus.jsonl"
+    write_corpus(corpus, path)
+    expected = "".join(reference_jsonl_line(pub) for pub in corpus)
+    assert path.read_bytes() == expected.encode("ascii")
+    again = parse_corpus(path, census_year=corpus.census_year, first_year=corpus.first_year)
+    assert again == corpus
