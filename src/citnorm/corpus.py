@@ -20,13 +20,16 @@ Publication file format (JSON Lines, UTF-8, one object per line):
     citations_by_year  optional object mapping year-string -> cumulative count
 
 Integers are JSON integers: true and false are rejected, never read as 1 and 0.
-Unknown keys are rejected with an error naming the key. Publications are kept
+Unknown keys are rejected with an error naming the key, and two
+``citations_by_year`` keys naming the same year (``"2008"``, ``" 2008"``) are
+rejected rather than merged. Publications are kept
 in ascending id order everywhere, so downstream floating-point summations are
 bit-reproducible.
 """
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter, lt
@@ -42,14 +45,15 @@ _ALL_KEYS = _REQUIRED | {"citations_by_year"}
 _MAX_CITATIONS = 2 ** 53 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Publication:
     """One scored document.
 
     ``citations_by_year``, when present, maps calendar year to the cumulative
     citation count by the end of that year. It must be non-decreasing; the
     corpus additionally checks that it covers every year from ``pub_year`` to
-    the census year and ends at ``citations_total``.
+    the census year and ends at ``citations_total``. Slotted: a publication
+    carries no per-instance ``__dict__``.
     """
 
     id: str
@@ -97,6 +101,33 @@ class Publication:
                 previous = count
 
 
+# Publication's slot descriptors in field order; setting through them is what
+# object.__setattr__ does for a slot, minus the attribute lookup per call.
+(_set_id, _set_unit_ids, _set_field_ids, _set_pub_year, _set_doc_type, _set_citations_total,
+ _set_citations_by_year) = (
+    Publication.__dict__[name].__set__ for name in Publication.__slots__
+)
+
+
+def _prechecked_publication(id, unit_ids, field_ids, pub_year, doc_type, citations_total,
+                            citations_by_year) -> Publication:
+    """A :class:`Publication` filled slot by slot, without ``__post_init__``.
+
+    Only for a caller that has itself established every fact ``__post_init__``
+    checks, and hands over ``unit_ids`` and ``field_ids`` as tuples: the
+    simulator, which checks its draws in bulk.
+    """
+    pub = object.__new__(Publication)
+    _set_id(pub, id)
+    _set_unit_ids(pub, unit_ids)
+    _set_field_ids(pub, field_ids)
+    _set_pub_year(pub, pub_year)
+    _set_doc_type(pub, doc_type)
+    _set_citations_total(pub, citations_total)
+    _set_citations_by_year(pub, citations_by_year)
+    return pub
+
+
 def _count_fault(year, count) -> str:
     """What is wrong with a citations_by_year entry that failed the checks."""
     if type(year) is not int:
@@ -139,20 +170,9 @@ class Corpus:
                 raise ValidationError(
                     f"publication {pub.id}: pub_year {year} outside [{first}, {census}]"
                 )
-            counts = pub.citations_by_year
-            if counts is None:
-                continue
-            # distinct integer years, as many as the span, with its two ends: no gap
-            if len(counts) != census - year + 1 or min(counts) != year or max(counts) != census:
-                raise ValidationError(
-                    f"publication {pub.id}: citations_by_year must cover every year "
-                    f"from {year} to {census} with no gaps"
-                )
-            if counts[census] != pub.citations_total:
-                raise ValidationError(
-                    f"publication {pub.id}: citations_by_year at census year "
-                    f"{census} does not equal citations_total"
-                )
+            fault = _coverage_fault(pub, census)
+            if fault is not None:
+                raise ValidationError(f"publication {pub.id}: {fault}")
 
     def __len__(self) -> int:
         return len(self.publications)
@@ -164,6 +184,40 @@ class Corpus:
         """All unit ids occurring in the corpus, ascending."""
         ids = {uid for pub in self.publications for uid in pub.unit_ids}
         return sorted(ids)
+
+
+def _coverage_fault(pub: Publication, census: int) -> str | None:
+    """What is wrong with how ``pub``'s by-year counts span its years, if anything.
+
+    Expects the integer years that :class:`Publication` has checked.
+    """
+    counts = pub.citations_by_year
+    if counts is None:
+        return None
+    year = pub.pub_year
+    # distinct integer years, as many as the span, with its two ends: no gap
+    if len(counts) != census - year + 1 or min(counts) != year or max(counts) != census:
+        return f"citations_by_year must cover every year from {year} to {census} with no gaps"
+    if counts[census] != pub.citations_total:
+        return f"citations_by_year at census year {census} does not equal citations_total"
+    return None
+
+
+def _prechecked_corpus(publications: tuple[Publication, ...], census_year: int,
+                       first_year: int) -> Corpus:
+    """A :class:`Corpus` built without ``__post_init__``'s pass over its publications.
+
+    Only for a caller that has checked each publication against the span and
+    hands them over in strictly increasing id order: the simulator and
+    :func:`parse_corpus`.
+    """
+    if first_year > census_year:
+        raise ValidationError(f"first_year {first_year} is after census_year {census_year}")
+    corpus = object.__new__(Corpus)
+    object.__setattr__(corpus, "publications", publications)
+    object.__setattr__(corpus, "census_year", census_year)
+    object.__setattr__(corpus, "first_year", first_year)
+    return corpus
 
 
 def select_unit(corpus: Corpus, unit_id: str) -> list[Publication]:
@@ -193,11 +247,16 @@ def _publication_from_obj(obj: dict, line_no: int) -> Publication:
         by_year = {}
         for year, count in counts.items():
             try:
-                by_year[int(year)] = count
+                key = int(year)
             except ValueError:
                 raise ValidationError(
                     f"line {line_no}: citations_by_year key '{year}' is not a year"
                 ) from None
+            if key in by_year:
+                raise ValidationError(
+                    f"line {line_no}: citations_by_year key '{year}' repeats year {key}"
+                )
+            by_year[key] = count
         counts = by_year
 
     try:
@@ -214,53 +273,68 @@ def _publication_from_obj(obj: dict, line_no: int) -> Publication:
         raise ValidationError(f"line {line_no}: {exc}") from None
 
 
+def _json_line(line: str, line_no: int):
+    """``json.loads`` of one line, its faults as line-numbered :class:`ValidationError`."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"line {line_no}: malformed JSON: {exc.msg}") from None
+    except ValueError:  # the only other fault: an integer literal beyond int's digit limit
+        raise ValidationError(
+            f"line {line_no}: integer literal longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def parse_corpus(path: str | Path, census_year: int, first_year: int | None = None) -> Corpus:
     """Parse a JSON Lines publication file into a validated :class:`Corpus`.
 
     ``first_year`` bounds admissible publication years from below; when omitted
-    it defaults to the earliest year present in the file. Errors report the
-    offending line number.
+    it defaults to the earliest year present in the file. Every record is
+    checked once, at its line, and errors report the offending line number.
     """
     publications: list[Publication] = []
     seen_ids: set[str] = set()
+    in_order, last_id = True, ""
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: malformed JSON: {exc.msg}") from None
-            pub = _publication_from_obj(obj, line_no)
-            if pub.id in seen_ids:
-                raise ValidationError(f"line {line_no}: duplicate id {pub.id}")
-            seen_ids.add(pub.id)
+            pub = _publication_from_obj(_json_line(line, line_no), line_no)
+            pid = pub.id
+            if pid in seen_ids:
+                raise ValidationError(f"line {line_no}: duplicate id {pid}")
+            seen_ids.add(pid)
             if pub.pub_year > census_year or (first_year is not None and pub.pub_year < first_year):
                 low = first_year if first_year is not None else "-"
                 raise ValidationError(
                     f"line {line_no}: pub_year {pub.pub_year} outside [{low}, {census_year}]"
                 )
+            fault = _coverage_fault(pub, census_year)
+            if fault is not None:
+                raise ValidationError(f"line {line_no}: publication {pid}: {fault}")
+            in_order = in_order and last_id < pid
+            last_id = pid
             publications.append(pub)
     if first_year is None:
         first_year = min((p.pub_year for p in publications), default=census_year)
-    return Corpus(tuple(publications), census_year=census_year, first_year=first_year)
+    if not in_order:
+        publications.sort(key=attrgetter("id"))
+    return _prechecked_corpus(tuple(publications), census_year, first_year)
 
 
 def infer_census_year(path: str | Path) -> int:
     """Best-effort census year: the largest year any publication carries.
 
-    Looks at pub_year and citations_by_year keys only; malformed lines are
-    left for :func:`parse_corpus` to report precisely.
+    Looks at pub_year and citations_by_year keys only. A line that is not JSON
+    fails here as it would in :func:`parse_corpus`; other faults are left for
+    :func:`parse_corpus` to report precisely.
     """
     latest: int | None = None
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue
+            obj = _json_line(line, line_no)
             if not isinstance(obj, dict):
                 continue
             years = []

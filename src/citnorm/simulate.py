@@ -19,16 +19,31 @@ field assignments are drawn from a stream with a fixed internal seed, so
 changing only ``seed`` changes the realized citation counts but leaves the
 corpus shape (ids, years, fields) untouched; that makes across-seed
 comparisons well-defined.
+
+Every fact a :class:`~citnorm.corpus.Publication` and a
+:class:`~citnorm.corpus.Corpus` check holds by construction here or is checked
+once on the drawn arrays, so records are built without re-checking each one:
+years come from the configured span, by-year counts run from the publication
+year to the census year and end at the total, ids are zero-padded serials in
+increasing order, and the increments are checked to be non-negative and their
+totals to stay within 2**53 - 1.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Publication
+from .corpus import (
+    _MAX_CITATIONS,
+    Corpus,
+    Publication,
+    _prechecked_corpus,
+    _prechecked_publication,
+)
 from .errors import ValidationError
 
 # Shape stream seed; independent of config.seed by design (see module docs).
@@ -68,19 +83,39 @@ class SimulationConfig:
         if self.census_year < self.first_year:
             raise ValidationError("census_year must not precede first_year")
         for f in self.fields:
-            if f.rate <= 0:
-                raise ValidationError(f"field '{f.field_id}': rate must be > 0")
+            if not isinstance(f.field_id, str) or not f.field_id:
+                raise ValidationError(f"field_id {f.field_id!r} must be a non-empty string")
+            if not (math.isfinite(f.rate) and f.rate > 0):
+                raise ValidationError(f"field '{f.field_id}': rate must be finite and > 0")
         for u in self.units:
-            if u.quality <= 0:
-                raise ValidationError(f"unit '{u.unit_id}': quality must be > 0")
+            if not isinstance(u.unit_id, str) or not u.unit_id:
+                raise ValidationError(f"unit_id {u.unit_id!r} must be a non-empty string")
+            if not (math.isfinite(u.quality) and u.quality > 0):
+                raise ValidationError(f"unit '{u.unit_id}': quality must be finite and > 0")
             if u.n_pubs < 1:
                 raise ValidationError(f"unit '{u.unit_id}': n_pubs must be >= 1")
-        if self.dispersion < 0:
-            raise ValidationError("dispersion must be >= 0")
+        if not (math.isfinite(self.dispersion) and self.dispersion >= 0):
+            raise ValidationError("dispersion must be finite and >= 0")
+        if self.dispersion > 0:
+            _gamma_shape_scale(self.dispersion)
         if not 0 <= self.seed < 2 ** 64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         if not 0 <= self.same_year_damping <= 1:
             raise ValidationError("same_year_damping must be in [0, 1]")
+
+
+def _gamma_shape_scale(dispersion: float) -> tuple[float, float]:
+    """Shape and scale of the gamma factor with mean 1 and variance ``dispersion**2``."""
+    try:
+        variance = dispersion ** 2
+        shape = 1.0 / variance
+    except ArithmeticError:  # the square overflows, or underflows to zero
+        shape = math.inf
+    if math.isinf(shape):  # also a square so small that its reciprocal overflows
+        raise ValidationError(
+            f"dispersion {dispersion!r} is too large or too small to simulate"
+        )
+    return shape, variance
 
 
 def config_from_dict(obj: dict) -> SimulationConfig:
@@ -101,7 +136,7 @@ def config_from_dict(obj: dict) -> SimulationConfig:
             seed=int(obj.get("seed", 0)),
             same_year_damping=float(obj.get("same_year_damping", 0.1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad simulation config: {exc}") from None
 
 
@@ -128,8 +163,11 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
     first, census = config.first_year, config.census_year
     year_grid = np.arange(first, census + 1)
     years = year_grid.tolist()
+    year_tails = [years[start:] for start in range(len(years))]
     rates = np.array([f.rate for f in config.fields], dtype=float)
     field_ids = [(f.field_id,) for f in config.fields]
+    if config.dispersion > 0:
+        shape, scale = _gamma_shape_scale(config.dispersion)
 
     total = sum(u.n_pubs for u in config.units)
     width = max(8, len(str(total - 1)))
@@ -140,8 +178,7 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
         pub_years = shape_rng.integers(first, census + 1, size=n)
         field_idx = shape_rng.integers(0, len(config.fields), size=n)
         if config.dispersion > 0:
-            k = 1.0 / config.dispersion ** 2
-            g = count_rng.gamma(shape=k, scale=config.dispersion ** 2, size=n)
+            g = count_rng.gamma(shape=shape, scale=scale, size=n)
         else:
             g = np.ones(n)
         lam = rates[field_idx] * unit.quality * g  # (n,)
@@ -149,19 +186,45 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
         after = year_grid[None, :] > pub_years[:, None]
         same = year_grid[None, :] == pub_years[:, None]
         mean = lam[:, None] * (after + config.same_year_damping * same)
-        increments = count_rng.poisson(mean)  # Poisson(0) == 0 before pub year
-        cumulative = increments.cumsum(axis=1)
+        try:
+            increments = count_rng.poisson(mean)  # Poisson(0) == 0 before pub year
+        except ValueError as exc:  # numpy draws no mean above about 9.2e18
+            raise ValidationError(
+                f"unit '{unit.unit_id}': cannot draw citations: {exc}"
+            ) from None
+        ids = [str(i).zfill(width) for i in range(serial, serial + n)]
+        cumulative = _checked_cumsum(increments, ids, first)
         unit_ids = (unit.unit_id,)
-        for y0, f, row in zip(pub_years.tolist(), field_idx.tolist(), cumulative.tolist()):
+        for pid, y0, f, row in zip(ids, pub_years.tolist(), field_idx.tolist(),
+                                   cumulative.tolist()):
             start = y0 - first
-            publications.append(Publication(
-                id=f"{serial:0{width}d}",
-                unit_ids=unit_ids,
-                field_ids=field_ids[f],
-                pub_year=y0,
-                doc_type="article",
-                citations_total=row[-1],
-                citations_by_year=dict(zip(years[start:], row[start:])),
+            publications.append(_prechecked_publication(
+                pid, unit_ids, field_ids[f], y0, "article", row[-1],
+                dict(zip(year_tails[start], row[start:])),
             ))
-            serial += 1
-    return Corpus(tuple(publications), census_year=census, first_year=first)
+        serial += n
+    return _prechecked_corpus(tuple(publications), census, first)
+
+
+def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> np.ndarray:
+    """Cumulative counts per row, after checking the facts the draws must hold.
+
+    No increment may be negative, and each row's total must stay within
+    2**53 - 1; the faults name the first offending publication (row order).
+    """
+    negative = increments < 0
+    if negative.any():
+        row, col = np.argwhere(negative)[0].tolist()
+        raise ValidationError(
+            f"publication {ids[row]}: non-monotone citations_by_year at {first_year + col}"
+        )
+    cumulative = increments.cumsum(axis=1)
+    # With no negative increment, a row can only step down where cumsum wrapped
+    # past 2**63 - 1, and its true total then exceeds the bound as well.
+    wrapped = (cumulative[:, 1:] < cumulative[:, :-1]).any(axis=1)
+    over = (cumulative[:, -1] > _MAX_CITATIONS) | wrapped
+    if over.any():
+        raise ValidationError(
+            f"publication {ids[over.argmax()]}: citations_total exceeds 2**53 - 1"
+        )
+    return cumulative

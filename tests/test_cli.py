@@ -225,6 +225,48 @@ def test_citation_count_beyond_float_range_is_one_line_error(tmp_path, command):
     ]
 
 
+@pytest.mark.parametrize("command", ["baselines", "trajectory"])  # trajectory infers the census
+def test_integer_literal_beyond_digit_limit_is_one_line_error(tmp_path, capsys, command):
+    corpus = tmp_path / "huge.jsonl"
+    corpus.write_text('{"id": "P1", "citations_total": ' + "1" * 5001 + "}\n", encoding="utf-8")
+    argv = {
+        "baselines": ["baselines", "--corpus", str(corpus), "--census", "2009"],
+        "trajectory": ["trajectory", "--corpus", str(corpus), "--field", "f",
+                       "--pub-year", "2005"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 1: integer literal longer than 4300 digits"
+    ]
+
+
+HOSTILE_CONFIG_VALUES = [
+    ("fields", "rate", float("nan")),
+    ("fields", "rate", float("inf")),
+    ("fields", "rate", 1e20),
+    ("fields", "field_id", ""),
+    ("units", "unit_id", 5),
+    ("units", "quality", float("nan")),
+    (None, "dispersion", float("inf")),
+    (None, "dispersion", 1e200),
+    (None, "same_year_damping", float("nan")),
+    (None, "seed", float("inf")),
+]
+
+
+@pytest.mark.parametrize("section, key, value", HOSTILE_CONFIG_VALUES,
+                         ids=[f"{key}={value!r}" for _, key, value in HOSTILE_CONFIG_VALUES])
+def test_hostile_simulation_config_is_one_line_error(tmp_path, capsys, section, key, value):
+    config = json.loads(json.dumps(CONFIG))
+    (config if section is None else config[section][0])[key] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))  # NaN and Infinity as JSON extensions
+    code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "c.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
     corpus = str(workdir / "corpus.jsonl")
     baselines, scores = str(tmp_path / "baselines.csv"), str(tmp_path / "scores.csv")

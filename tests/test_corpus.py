@@ -115,6 +115,51 @@ class TestParse:
         with pytest.raises(ValidationError, match=r"^line 2: .*exceeds 2\*\*53 - 1$"):
             parse_corpus(path, census_year=2010)
 
+    def test_duplicate_year_keys_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        counts = {"2008": 9, " 2008": 1, "2009": 5, "2010": 5}
+        write_jsonl(path, [record("P1"), record("P2", pub_year=2008, citations_total=5,
+                                                citations_by_year=counts)])
+        with pytest.raises(ValidationError,
+                           match="^line 2: citations_by_year key ' 2008' repeats year 2008$"):
+            parse_corpus(path, census_year=2010, first_year=2000)
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"2008": 1, "2010": 5}, "must cover every year from 2008 to 2010 with no gaps"),
+        ({"2008": 1, "2009": 2, "2010": 4},
+         "at census year 2010 does not equal citations_total"),
+    ], ids=["gap", "census"])
+    def test_coverage_errors_name_their_line(self, tmp_path, counts, message):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P1"), record("P2", pub_year=2008, citations_total=5,
+                                                citations_by_year=counts)])
+        with pytest.raises(ValidationError,
+                           match=f"^line 2: publication P2: citations_by_year {message}$"):
+            parse_corpus(path, census_year=2010, first_year=2000)
+
+    def test_out_of_order_lines_are_sorted(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P3"), record("P1"), record("P2")])
+        corpus = parse_corpus(path, census_year=2010, first_year=2000)
+        assert [p.id for p in corpus] == ["P1", "P2", "P3"]
+        assert corpus == make_corpus([make_pub(pid, citations=3) for pid in ("P3", "P1", "P2")])
+
+    def test_first_year_after_census_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("")
+        with pytest.raises(ValidationError, match="first_year 2011 is after census_year 2010"):
+            parse_corpus(path, census_year=2010, first_year=2011)
+
+    def test_integer_literal_beyond_digit_limit(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        huge = json.dumps(record("P2")).replace('"citations_total": 3',
+                                                '"citations_total": ' + "9" * 5001)
+        path.write_text(json.dumps(record("P1")) + "\n" + huge + "\n", encoding="utf-8")
+        for read in (lambda: parse_corpus(path, census_year=2010),
+                     lambda: infer_census_year(path)):
+            with pytest.raises(ValidationError, match="^line 2: integer literal longer than"):
+                read()
+
     def test_default_first_year_is_min(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1", pub_year=2003), record("P2", pub_year=2007)])

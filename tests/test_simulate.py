@@ -1,10 +1,13 @@
 """Synthetic corpus generator: determinism, shape stability, calibration."""
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from citnorm.corpus import corpus_to_jsonl
+from citnorm.corpus import Corpus, Publication, corpus_to_jsonl
 from citnorm.errors import ValidationError
 from citnorm.simulate import (
     FieldSpec,
@@ -124,6 +127,100 @@ def test_pub_years_cover_span_uniformly():
         assert 0.06 <= share <= 0.14  # ~0.1 each over a 10-year span
 
 
+@st.composite
+def simulation_configs(draw):
+    field_specs = tuple(FieldSpec(f"f{i}", draw(st.floats(0.05, 20.0)))
+                        for i in range(draw(st.integers(1, 3))))
+    units = tuple(UnitSpec(f"u{i}", draw(st.floats(0.2, 3.0)), draw(st.integers(1, 25)))
+                  for i in range(draw(st.integers(1, 4))))
+    first = draw(st.integers(1980, 2010))
+    return SimulationConfig(
+        fields=field_specs,
+        units=units,
+        first_year=first,
+        census_year=first + draw(st.integers(0, 11)),  # spans of 1-12 years
+        dispersion=draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0))),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        same_year_damping=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@given(simulation_configs())
+@settings(max_examples=100, deadline=None)
+def test_generated_records_pass_the_public_checks(config):
+    corpus = generate_corpus(config)
+    rebuilt = Corpus(
+        tuple(Publication(**{f.name: getattr(pub, f.name) for f in fields(Publication)})
+              for pub in corpus),
+        census_year=config.census_year,
+        first_year=config.first_year,
+    )
+    assert corpus == rebuilt
+    assert len(corpus) == sum(u.n_pubs for u in config.units)
+
+
+def test_publications_are_frozen_and_slotted():
+    generated = generate_corpus(one_field_config(n_pubs=3)).publications[0]
+    public = Publication(**{f.name: getattr(generated, f.name) for f in fields(Publication)})
+    for pub in (generated, public):
+        with pytest.raises(FrozenInstanceError):
+            pub.citations_total = 0
+        assert not hasattr(pub, "__dict__")
+
+
+class TestBulkChecks:
+    def test_total_beyond_exact_float_range_names_first_publication(self):
+        config = SimulationConfig(
+            fields=(FieldSpec("f", 1.0),),
+            # even a damped first year of the loud unit draws about 1e16 > 2**53 - 1
+            units=(UnitSpec("calm", 1.0, 2), UnitSpec("loud", 1e17, 3)),
+            first_year=2000,
+            census_year=2009,
+        )
+        with pytest.raises(ValidationError,
+                           match=r"^publication 00000002: citations_total exceeds 2\*\*53 - 1$"):
+            generate_corpus(config)
+
+    def test_wrapped_cumulative_sum_is_rejected(self):
+        config = SimulationConfig(
+            fields=(FieldSpec("f", 4e18),),
+            units=(UnitSpec("u", 1.0, 3),),
+            first_year=2000,
+            census_year=2003,
+            same_year_damping=1.0,
+        )
+        # Row 0 sums four draws near 4e18, which wraps int64 to a negative total;
+        # row 1 sums two and only exceeds the bound.
+        calm = replace(config, fields=(FieldSpec("f", 1.0),))
+        assert [p.pub_year for p in generate_corpus(calm)] == [2000, 2002, 2000]
+        with pytest.raises(ValidationError,
+                           match=r"^publication 00000000: citations_total exceeds 2\*\*53 - 1$"):
+            generate_corpus(config)
+
+    def test_negative_increment_is_rejected(self, monkeypatch):
+        default_rng = np.random.default_rng
+
+        class OneNegativeDraw:
+            """A generator whose Poisson draws are negative in one cell: row 1, census year."""
+
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def poisson(self, mean):
+                draws = self._rng.poisson(mean)
+                draws[1, -1] = -1
+                return draws
+
+        monkeypatch.setattr(np.random, "default_rng", OneNegativeDraw)
+        config = one_field_config(rate=50.0, n_pubs=3, first_year=2000, census_year=2003)
+        with pytest.raises(ValidationError,
+                           match=r"^publication 00000001: non-monotone citations_by_year at 2003$"):
+            generate_corpus(config)
+
+
 class TestConfigValidation:
     def test_requires_fields_and_units(self):
         with pytest.raises(ValidationError, match="field"):
@@ -148,6 +245,39 @@ class TestConfigValidation:
             one_field_config(first_year=2005, census_year=2004)
         with pytest.raises(ValidationError, match="dispersion"):
             one_field_config(dispersion=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_numbers(self, value):
+        with pytest.raises(ValidationError, match="rate must be finite"):
+            one_field_config(rate=value)
+        with pytest.raises(ValidationError, match="quality must be finite"):
+            SimulationConfig(fields=(FieldSpec("f", 1.0),), units=(UnitSpec("u", value, 1),),
+                             first_year=2000, census_year=2001)
+        with pytest.raises(ValidationError, match="dispersion must be finite"):
+            one_field_config(dispersion=value)
+        with pytest.raises(ValidationError, match="same_year_damping"):
+            replace(one_field_config(), same_year_damping=value)
+
+    @pytest.mark.parametrize("dispersion", [1e-170, 1e-160, 1e155])
+    def test_rejects_dispersion_whose_gamma_parameters_overflow(self, dispersion):
+        with pytest.raises(ValidationError, match="too large or too small"):
+            one_field_config(dispersion=dispersion)
+
+    @pytest.mark.parametrize("spec", [FieldSpec("", 1.0), FieldSpec(7, 1.0)])
+    def test_field_id_must_be_non_empty_string(self, spec):
+        with pytest.raises(ValidationError, match="field_id .* must be a non-empty string"):
+            SimulationConfig(fields=(spec,), units=(UnitSpec("u", 1.0, 1),),
+                             first_year=2000, census_year=2001)
+
+    @pytest.mark.parametrize("spec", [UnitSpec("", 1.0, 1), UnitSpec(None, 1.0, 1)])
+    def test_unit_id_must_be_non_empty_string(self, spec):
+        with pytest.raises(ValidationError, match="unit_id .* must be a non-empty string"):
+            SimulationConfig(fields=(FieldSpec("f", 1.0),), units=(spec,),
+                             first_year=2000, census_year=2001)
+
+    def test_rate_beyond_poisson_range_is_validation_error(self):
+        with pytest.raises(ValidationError, match="^unit 'u': cannot draw citations"):
+            generate_corpus(one_field_config(rate=1e20, n_pubs=2))
 
     def test_config_json_round_trip(self, tmp_path):
         obj = {
