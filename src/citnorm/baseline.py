@@ -13,6 +13,7 @@ consequences of e = 0 are handled by the indicator layer.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +34,6 @@ class BaselineTable:
     """Map from (field_id, pub_year) to the cell mean and cell size."""
 
     cells: dict[tuple[str, int], BaselineCell]
-    census_year: int
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -60,7 +60,7 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
         key: BaselineCell(mean_citations=sums[key] / sizes[key], cell_size=sizes[key])
         for key in sums
     }
-    return BaselineTable(cells=cells, census_year=corpus.census_year)
+    return BaselineTable(cells=cells)
 
 
 def expected_citations(table: BaselineTable, pub: Publication) -> float:
@@ -91,7 +91,7 @@ def write_baselines(table: BaselineTable, path: str | Path) -> None:
             writer.writerow([fid, year, f"{cell.mean_citations:.6f}", cell.cell_size])
 
 
-def read_baselines(path: str | Path, census_year: int) -> BaselineTable:
+def read_baselines(path: str | Path) -> BaselineTable:
     """Load a CSV baseline export (means carry 6 decimal places)."""
     cells: dict[tuple[str, int], BaselineCell] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -111,9 +111,9 @@ def read_baselines(path: str | Path, census_year: int) -> BaselineTable:
                 size = int(size_s)
             except ValueError:
                 raise ValidationError(f"baseline CSV row {row_no}: malformed values") from None
-            if mean < 0 or size < 1:
+            if not (math.isfinite(mean) and mean >= 0) or size < 1:
                 raise ValidationError(f"baseline CSV row {row_no}: invalid cell")
             if (fid, year) in cells:
                 raise ValidationError(f"baseline CSV row {row_no}: duplicate cell ({fid}, {year})")
             cells[(fid, year)] = BaselineCell(mean_citations=mean, cell_size=size)
-    return BaselineTable(cells=cells, census_year=census_year)
+    return BaselineTable(cells=cells)

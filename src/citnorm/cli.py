@@ -93,11 +93,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_corpus(args) -> corpus.Corpus:
-    census = args.census
-    if census is None:
-        census = corpus.infer_census_year(args.corpus)
-    return corpus.parse_corpus(args.corpus, census_year=census,
-                               first_year=args.first_year)
+    return corpus.parse_corpus(args.corpus, census_year=args.census, first_year=args.first_year)
 
 
 def _cohort(args) -> list[corpus.Publication]:
@@ -114,7 +110,7 @@ def _run(args) -> None:
     elif args.command == "score":
         data = _load_corpus(args)
         if args.baselines is not None:
-            table = baseline.read_baselines(args.baselines, census_year=args.census)
+            table = baseline.read_baselines(args.baselines)
         else:
             table = baseline.compute_baselines(data)
         unit_ids = None if args.units == "all" else [
@@ -145,10 +141,8 @@ def _run(args) -> None:
 
     elif args.command == "plot":
         scores = indicators.read_scores(args.scores)
-        spec = report.ScatterSpec(
-            x_indicator=args.x, y_indicator=args.y,
-            threshold=args.threshold, axis_max=args.axis_max, out_path=args.out,
-        )
+        spec = report.ScatterSpec(x_indicator=args.x, y_indicator=args.y,
+                                  threshold=args.threshold, axis_max=args.axis_max)
         svg = report.render_scatter(scores, spec)
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(svg)

@@ -20,21 +20,22 @@ Publication file format (JSON Lines, UTF-8, one object per line):
     citations_by_year  optional object mapping year-string -> cumulative count
 
 Integers are JSON integers: true and false are rejected, never read as 1 and 0.
-Unknown keys are rejected with an error naming the key, and two
-``citations_by_year`` keys naming the same year (``"2008"``, ``" 2008"``) are
-rejected rather than merged. Publications are kept
-in ascending id order everywhere, so downstream floating-point summations are
-bit-reproducible.
+A ``citations_by_year`` key is a year as ``str(int(key))`` writes it: ``" 2008"``
+or ``"02008"`` is rejected, not read as 2008. Unknown keys are rejected by name.
+:func:`parse_corpus` reads a file once; the census year, when not given, is the
+largest year the records carry. Publications are kept in ascending id order
+everywhere, so downstream floating-point summations are bit-reproducible.
 """
 from __future__ import annotations
 
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter, lt
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import ValidationError
 
@@ -165,12 +166,7 @@ class Corpus:
                     raise ValidationError(f"duplicate id {pid}")
         object.__setattr__(self, "publications", publications)
         for pub in publications:
-            year = pub.pub_year
-            if not first <= year <= census:
-                raise ValidationError(
-                    f"publication {pub.id}: pub_year {year} outside [{first}, {census}]"
-                )
-            fault = _coverage_fault(pub, census)
+            fault = _span_fault(pub, first, census)
             if fault is not None:
                 raise ValidationError(f"publication {pub.id}: {fault}")
 
@@ -186,15 +182,17 @@ class Corpus:
         return sorted(ids)
 
 
-def _coverage_fault(pub: Publication, census: int) -> str | None:
-    """What is wrong with how ``pub``'s by-year counts span its years, if anything.
+def _span_fault(pub: Publication, first: int, census: int) -> str | None:
+    """What is wrong with ``pub``'s year or by-year counts for the span, if anything.
 
     Expects the integer years that :class:`Publication` has checked.
     """
+    year = pub.pub_year
+    if not first <= year <= census:
+        return f"pub_year {year} outside [{first}, {census}]"
     counts = pub.citations_by_year
     if counts is None:
         return None
-    year = pub.pub_year
     # distinct integer years, as many as the span, with its two ends: no gap
     if len(counts) != census - year + 1 or min(counts) != year or max(counts) != census:
         return f"citations_by_year must cover every year from {year} to {census} with no gaps"
@@ -225,7 +223,17 @@ def select_unit(corpus: Corpus, unit_id: str) -> list[Publication]:
     return [pub for pub in corpus.publications if unit_id in pub.unit_ids]
 
 
-def _publication_from_obj(obj: dict, line_no: int) -> Publication:
+def _year(key: str) -> int | None:
+    """The year ``key`` names if it is written as ``str(int(key))`` writes it, else None."""
+    try:
+        year = int(key)
+    except ValueError:
+        return None
+    return year if str(year) == key else None
+
+
+def _publication_from_obj(obj: dict, line_no: int,
+                          year_of: Callable[[str], int | None]) -> Publication:
     """Checks that need the raw JSON object; :class:`Publication` checks the values."""
     if not isinstance(obj, dict):
         raise ValidationError(f"line {line_no}: expected a JSON object")
@@ -244,20 +252,12 @@ def _publication_from_obj(obj: dict, line_no: int) -> Publication:
     if counts is not None:
         if not isinstance(counts, dict):
             raise ValidationError(f"line {line_no}: citations_by_year must be an object")
-        by_year = {}
-        for year, count in counts.items():
-            try:
-                key = int(year)
-            except ValueError:
-                raise ValidationError(
-                    f"line {line_no}: citations_by_year key '{year}' is not a year"
-                ) from None
-            if key in by_year:
-                raise ValidationError(
-                    f"line {line_no}: citations_by_year key '{year}' repeats year {key}"
-                )
-            by_year[key] = count
-        counts = by_year
+        years = list(map(year_of, counts))
+        if None in years:
+            bad = next(key for key, year in zip(counts, years) if year is None)
+            raise ValidationError(f"line {line_no}: citations_by_year key '{bad}' is not a year")
+        # canonical keys are distinct years, so no two of them can collapse into one
+        counts = dict(zip(years, counts.values()))
 
     try:
         return Publication(
@@ -285,74 +285,43 @@ def _json_line(line: str, line_no: int):
         ) from None
 
 
-def parse_corpus(path: str | Path, census_year: int, first_year: int | None = None) -> Corpus:
+def parse_corpus(path: str | Path, census_year: int | None = None,
+                 first_year: int | None = None) -> Corpus:
     """Parse a JSON Lines publication file into a validated :class:`Corpus`.
 
-    ``first_year`` bounds admissible publication years from below; when omitted
-    it defaults to the earliest year present in the file. Every record is
-    checked once, at its line, and errors report the offending line number.
+    The file is read once. ``census_year`` defaults to the largest year the
+    records carry, as ``pub_year`` or as a ``citations_by_year`` key;
+    ``first_year`` defaults to the earliest ``pub_year``. A record's own faults
+    are reported as its line is read, its span and by-year coverage after the
+    read, once the census year is known. Every error names its line.
     """
     publications: list[Publication] = []
+    line_nos: list[int] = []
     seen_ids: set[str] = set()
-    in_order, last_id = True, ""
+    year_of = lru_cache(maxsize=None)(_year)  # a file repeats a few dozen year keys
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            pub = _publication_from_obj(_json_line(line, line_no), line_no)
-            pid = pub.id
-            if pid in seen_ids:
-                raise ValidationError(f"line {line_no}: duplicate id {pid}")
-            seen_ids.add(pid)
-            if pub.pub_year > census_year or (first_year is not None and pub.pub_year < first_year):
-                low = first_year if first_year is not None else "-"
-                raise ValidationError(
-                    f"line {line_no}: pub_year {pub.pub_year} outside [{low}, {census_year}]"
-                )
-            fault = _coverage_fault(pub, census_year)
-            if fault is not None:
-                raise ValidationError(f"line {line_no}: publication {pid}: {fault}")
-            in_order = in_order and last_id < pid
-            last_id = pid
+            pub = _publication_from_obj(_json_line(line, line_no), line_no, year_of)
+            if pub.id in seen_ids:
+                raise ValidationError(f"line {line_no}: duplicate id {pub.id}")
+            seen_ids.add(pub.id)
             publications.append(pub)
+            line_nos.append(line_no)
+    if census_year is None:
+        if not publications:
+            raise ValidationError(f"cannot infer a census year from {path}")
+        census_year = max(max((pub.pub_year, *(pub.citations_by_year or ())))
+                          for pub in publications)
     if first_year is None:
-        first_year = min((p.pub_year for p in publications), default=census_year)
-    if not in_order:
-        publications.sort(key=attrgetter("id"))
+        first_year = min((pub.pub_year for pub in publications), default=census_year)
+    for line_no, pub in zip(line_nos, publications):
+        fault = _span_fault(pub, first_year, census_year)
+        if fault is not None:
+            raise ValidationError(f"line {line_no}: publication {pub.id}: {fault}")
+    publications.sort(key=attrgetter("id"))  # linear on input already in id order
     return _prechecked_corpus(tuple(publications), census_year, first_year)
-
-
-def infer_census_year(path: str | Path) -> int:
-    """Best-effort census year: the largest year any publication carries.
-
-    Looks at pub_year and citations_by_year keys only. A line that is not JSON
-    fails here as it would in :func:`parse_corpus`; other faults are left for
-    :func:`parse_corpus` to report precisely.
-    """
-    latest: int | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            obj = _json_line(line, line_no)
-            if not isinstance(obj, dict):
-                continue
-            years = []
-            if isinstance(obj.get("pub_year"), int):
-                years.append(obj["pub_year"])
-            counts = obj.get("citations_by_year")
-            if isinstance(counts, dict):
-                for key in counts:
-                    try:
-                        years.append(int(key))
-                    except (TypeError, ValueError):
-                        pass
-            for year in years:
-                if latest is None or year > latest:
-                    latest = year
-    if latest is None:
-        raise ValidationError(f"cannot infer a census year from {path}")
-    return latest
 
 
 def _jsonl_line(pub: Publication) -> str:

@@ -22,6 +22,7 @@ bit-reproducible regardless of how work is partitioned.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -284,7 +285,11 @@ def write_scores(scores: Sequence[UnitScore], path: str | Path) -> None:
 
 
 def _parse_value(text: str) -> float | None:
-    return None if text == "NA" else float(text)
+    """A real as :func:`format_value` writes it: NA is None, and nan or inf are malformed."""
+    value = None if text == "NA" else float(text)
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def read_scores(path: str | Path) -> list[UnitScore]:

@@ -32,7 +32,6 @@ class ScatterSpec:
     y_indicator: str
     threshold: int = 50
     axis_max: float | None = None
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.x_indicator not in INDICATOR_NAMES or self.y_indicator not in INDICATOR_NAMES:

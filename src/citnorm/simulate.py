@@ -80,6 +80,8 @@ class SimulationConfig:
             raise ValidationError("config needs at least one field")
         if not self.units:
             raise ValidationError("config needs at least one unit")
+        if not (1 <= self.first_year <= 9999 and 1 <= self.census_year <= 9999):
+            raise ValidationError("first_year and census_year must be in [1, 9999]")
         if self.census_year < self.first_year:
             raise ValidationError("census_year must not precede first_year")
         for f in self.fields:
@@ -118,22 +120,44 @@ def _gamma_shape_scale(dispersion: float) -> tuple[float, float]:
     return shape, variance
 
 
+# The JSON types each config key takes (type(), not isinstance(): a JSON true is
+# no integer), or None where SimulationConfig checks the value itself.
+_INTEGER, _NUMBER = (int,), (int, float)
+_CONFIG_KEYS = {"fields": None, "units": None, "first_year": _INTEGER, "census_year": _INTEGER,
+                "dispersion": _NUMBER, "seed": _INTEGER, "same_year_damping": _NUMBER}
+_FIELD_KEYS = {"field_id": None, "rate": _NUMBER}
+_UNIT_KEYS = {"unit_id": None, "quality": _NUMBER, "n_pubs": _INTEGER}
+
+
+def _checked(obj, keys: dict, where: str) -> dict:
+    """``obj``, once checked to be a JSON object of known keys with values of their types."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key, value in obj.items():
+        if key not in keys:
+            raise ValueError(f"unknown key '{key}' in {where}")
+        if keys[key] is not None and type(value) not in keys[key]:
+            kind = "an integer" if keys[key] is _INTEGER else "a number"
+            raise ValueError(f"{key} in {where} must be {kind}")
+    return obj
+
+
 def config_from_dict(obj: dict) -> SimulationConfig:
+    """A :class:`SimulationConfig` from parsed JSON: no value is coerced, no unknown key kept."""
     try:
-        fields = tuple(
-            FieldSpec(field_id=f["field_id"], rate=float(f["rate"])) for f in obj["fields"]
-        )
-        units = tuple(
-            UnitSpec(unit_id=u["unit_id"], quality=float(u["quality"]), n_pubs=int(u["n_pubs"]))
-            for u in obj["units"]
-        )
+        _checked(obj, _CONFIG_KEYS, "the config")
+        fields = [_checked(f, _FIELD_KEYS, f"fields[{i}]") for i, f in enumerate(obj["fields"])]
+        units = [_checked(u, _UNIT_KEYS, f"units[{i}]") for i, u in enumerate(obj["units"])]
         return SimulationConfig(
-            fields=fields,
-            units=units,
-            first_year=int(obj["first_year"]),
-            census_year=int(obj["census_year"]),
+            fields=tuple(FieldSpec(field_id=f["field_id"], rate=float(f["rate"])) for f in fields),
+            units=tuple(
+                UnitSpec(unit_id=u["unit_id"], quality=float(u["quality"]), n_pubs=u["n_pubs"])
+                for u in units
+            ),
+            first_year=obj["first_year"],
+            census_year=obj["census_year"],
             dispersion=float(obj.get("dispersion", 0.0)),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
             same_year_damping=float(obj.get("same_year_damping", 0.1)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -145,8 +169,8 @@ def load_config(path: str | Path) -> SimulationConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed config JSON: {exc.msg}") from None
+        except ValueError as exc:  # not JSON, or an integer beyond int's digit limit
+            raise ValidationError(f"malformed config JSON: {getattr(exc, 'msg', exc)}") from None
     return config_from_dict(obj)
 
 

@@ -42,8 +42,8 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     return ranks
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Sample Pearson correlation; None when either vector is constant."""
+def _paired_arrays(x: Sequence[float], y: Sequence[float]):
+    """``x`` and ``y`` as float arrays, once they are checked to pair up and be finite."""
     if len(x) != len(y):
         raise ValidationError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
@@ -51,6 +51,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     import numpy as np
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
+    if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+        raise ValidationError("cannot correlate non-finite values")
+    return ax, ay
+
+
+def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
+    """Sample Pearson correlation; None when either vector is constant."""
+    import numpy as np
+    ax, ay = _paired_arrays(x, y)
     if np.all(ax == ax[0]) or np.all(ay == ay[0]):
         return None
     dx = ax - ax.mean()
@@ -64,11 +73,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
     """Pearson correlation of the average-rank transforms."""
-    if len(x) != len(y):
-        raise ValidationError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise ValidationError("need at least two observations")
-    return pearson(average_ranks(x), average_ranks(y))
+    ax, ay = _paired_arrays(x, y)
+    return pearson(average_ranks(ax), average_ranks(ay))
 
 
 @dataclass(frozen=True)

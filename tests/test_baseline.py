@@ -53,7 +53,7 @@ def test_empty_corpus_rejected():
 
 
 def test_expected_citations_single_field():
-    table = BaselineTable({("F", 1994): BaselineCell(6.97, 12)}, census_year=2000)
+    table = BaselineTable({("F", 1994): BaselineCell(6.97, 12)})
     pub = make_pub("P1", field="F", year=1994, citations=6)
     assert expected_citations(table, pub) == 6.97
 
@@ -61,14 +61,13 @@ def test_expected_citations_single_field():
 def test_expected_citations_two_fields_is_mean_of_means():
     table = BaselineTable(
         {("F", 2005): BaselineCell(2.0, 3), ("G", 2005): BaselineCell(4.0, 5)},
-        census_year=2010,
     )
     pub = make_pub("P1", fields=("F", "G"), year=2005)
     assert expected_citations(table, pub) == 3.0
 
 
 def test_missing_cell_names_field_and_year():
-    table = BaselineTable({("F", 2005): BaselineCell(1.0, 1)}, census_year=2010)
+    table = BaselineTable({("F", 2005): BaselineCell(1.0, 1)})
     pub = make_pub("P1", field="G", year=2004)
     with pytest.raises(ValidationError, match="no baseline cell.*'G'.*2004"):
         expected_citations(table, pub)
@@ -134,14 +133,13 @@ def test_csv_round_trip(tmp_path):
             ("F", 2006): BaselineCell(0.0, 3),
             ("G", 2005): BaselineCell(6.125, 8),
         },
-        census_year=2010,
     )
     path = tmp_path / "baselines.csv"
     write_baselines(table, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "field_id,pub_year,mean_citations,cell_size"
     assert lines[1] == "F,2005,4.500000,2"  # sorted by (field, year), 6 decimals
-    again = read_baselines(path, census_year=2010)
+    again = read_baselines(path)
     assert again.cells == table.cells
 
 
@@ -149,7 +147,7 @@ def test_read_rejects_bad_header(tmp_path):
     path = tmp_path / "baselines.csv"
     path.write_text("field,year,mean\n")
     with pytest.raises(ValidationError, match="header"):
-        read_baselines(path, census_year=2010)
+        read_baselines(path)
 
 
 def test_read_rejects_duplicate_cell(tmp_path):
@@ -160,4 +158,16 @@ def test_read_rejects_duplicate_cell(tmp_path):
         "F,2005,2.000000,1\n"
     )
     with pytest.raises(ValidationError, match="duplicate cell"):
-        read_baselines(path, census_year=2010)
+        read_baselines(path)
+
+
+@pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
+def test_read_rejects_non_finite_mean(tmp_path, mean):
+    path = tmp_path / "baselines.csv"
+    path.write_text(
+        "field_id,pub_year,mean_citations,cell_size\n"
+        "F,2005,1.000000,1\n"
+        f"F,2006,{mean},1\n"
+    )
+    with pytest.raises(ValidationError, match="^baseline CSV row 3: invalid cell$"):
+        read_baselines(path)

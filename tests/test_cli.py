@@ -251,6 +251,21 @@ HOSTILE_CONFIG_VALUES = [
     (None, "dispersion", 1e200),
     (None, "same_year_damping", float("nan")),
     (None, "seed", float("inf")),
+    ("units", "n_pubs", 2.7),
+    ("units", "n_pubs", True),
+    (None, "seed", 1.5),
+    (None, "seed", "7"),
+    (None, "first_year", 1e20),
+    (None, "first_year", 0),
+    (None, "census_year", 10 ** 20),
+    (None, "census_year", "2009"),
+    ("fields", "rate", "2.5"),
+    ("units", "quality", "1"),
+    (None, "dispersion", "0.5"),
+    (None, "same_year_damping", False),
+    (None, "seeds", 1),
+    ("fields", "weight", 1),
+    ("units", "country", "NL"),
 ]
 
 
@@ -265,6 +280,31 @@ def test_hostile_simulation_config_is_one_line_error(tmp_path, capsys, section, 
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_config_integer_beyond_digit_limit_is_one_line_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG).replace('"seed": 11', '"seed": ' + "1" * 5001))
+    code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "c.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: malformed config JSON: "), err
+
+
+def test_census_inferring_run_reads_each_line_once(workdir, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    lines = (workdir / "corpus.jsonl").read_text().splitlines()
+    corpus.write_text("\n".join(lines[:5] + ["", "  "] + lines[5:]) + "\n")
+    loads, calls = json.loads, []
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args[0])
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    assert main(["trajectory", "--corpus", str(corpus), "--field", "fast", "--pub-year", "2000",
+                 "--out", str(tmp_path / "traj.csv")]) == 0
+    assert len(calls) == len(lines)
 
 
 def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):

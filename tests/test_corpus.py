@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from citnorm.corpus import (
     Corpus,
     Publication,
     corpus_to_jsonl,
-    infer_census_year,
     parse_corpus,
     select_unit,
     write_corpus,
@@ -121,7 +121,17 @@ class TestParse:
         write_jsonl(path, [record("P1"), record("P2", pub_year=2008, citations_total=5,
                                                 citations_by_year=counts)])
         with pytest.raises(ValidationError,
-                           match="^line 2: citations_by_year key ' 2008' repeats year 2008$"):
+                           match="^line 2: citations_by_year key ' 2008' is not a year$"):
+            parse_corpus(path, census_year=2010, first_year=2000)
+
+    @pytest.mark.parametrize("key", ["2_008", "+2009", "\uff12\uff10\uff10\uff18", "2008 ",
+                                     "02008", "-0", "2008.0", "x"])
+    def test_year_keys_must_be_canonical(self, tmp_path, key):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P1"), record("P2", pub_year=2008, citations_total=1,
+                                                citations_by_year={"2008": 1, key: 1})])
+        with pytest.raises(ValidationError,
+                           match=f"^line 2: citations_by_year key '{re.escape(key)}' is not a year$"):
             parse_corpus(path, census_year=2010, first_year=2000)
 
     @pytest.mark.parametrize("counts, message", [
@@ -156,7 +166,7 @@ class TestParse:
                                                 '"citations_total": ' + "9" * 5001)
         path.write_text(json.dumps(record("P1")) + "\n" + huge + "\n", encoding="utf-8")
         for read in (lambda: parse_corpus(path, census_year=2010),
-                     lambda: infer_census_year(path)):
+                     lambda: parse_corpus(path)):
             with pytest.raises(ValidationError, match="^line 2: integer literal longer than"):
                 read()
 
@@ -173,12 +183,12 @@ class TestParse:
             record("P2", pub_year=2005, citations_total=4,
                    citations_by_year={"2005": 1, "2006": 2, "2007": 4}),
         ])
-        assert infer_census_year(path) == 2007
+        assert parse_corpus(path).census_year == 2007
         write_jsonl(path, [record("P1", pub_year=2003)])
-        assert infer_census_year(path) == 2003
+        assert parse_corpus(path).census_year == 2003
         path.write_text("")
         with pytest.raises(ValidationError, match="census"):
-            infer_census_year(path)
+            parse_corpus(path)
 
 
 class TestInvariants:
@@ -313,6 +323,17 @@ def test_round_trip_property(tmp_path_factory, corpus):
     again = parse_corpus(path, census_year=corpus.census_year, first_year=corpus.first_year)
     assert again == corpus
     assert corpus_to_jsonl(again) == text
+
+
+@given(corpora())
+@settings(max_examples=60)
+def test_inferred_census_is_the_largest_year_in_the_file(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("census") / "corpus.jsonl"
+    write_corpus(corpus, path)
+    latest = max(max((pub.pub_year, *(pub.citations_by_year or ()))) for pub in corpus)
+    inferred = parse_corpus(path)
+    assert inferred.census_year == latest
+    assert inferred == parse_corpus(path, census_year=latest)
 
 
 def reference_jsonl_line(pub):

@@ -127,7 +127,7 @@ def golden_corpus_and_table():
         cells[(fid, year)] = BaselineCell(mean_citations=e, cell_size=100)
         pubs.append(make_pub(f"p{i:02d}", field=fid, year=year, citations=c, units=("A",)))
     corpus = make_corpus(pubs, census_year=GOLDEN_CENSUS, first_year=GOLDEN_FIRST)
-    return corpus, BaselineTable(cells, census_year=GOLDEN_CENSUS)
+    return corpus, BaselineTable(cells)
 
 
 class TestScoreUnit:
@@ -144,7 +144,7 @@ class TestScoreUnit:
 
     def test_only_zero_e_publication(self):
         corpus = make_corpus([make_pub("P1", field="F", year=2005, citations=0, units=("U",))])
-        table = BaselineTable({("F", 2005): BaselineCell(0.0, 1)}, census_year=2010)
+        table = BaselineTable({("F", 2005): BaselineCell(0.0, 1)})
         score = score_unit(corpus, table, "U")
         assert score.mncs1 is None and score.mncs2 is None
         assert score.n_excluded_zero_e == 1
@@ -195,7 +195,7 @@ class TestScoreUnit:
             make_pub("P2", field="G", year=2006, citations=2, units=("B",)),
             make_pub("P3", field="G", year=2006, citations=1, units=()),
         ])
-        partial = BaselineTable({("F", 2005): BaselineCell(2.0, 7)}, census_year=2010)
+        partial = BaselineTable({("F", 2005): BaselineCell(2.0, 7)})
         [score] = score_units(corpus, partial, ["A"])
         assert (score.unit_id, score.n_total, score.cpp_fcsm) == ("A", 1, 2.0)
         with pytest.raises(ValidationError, match="no baseline cell for field 'G'"):
@@ -440,3 +440,15 @@ def test_scores_csv_round_trip(tmp_path):
     assert lines[1] == "alpha,12,10,0,1.5000,2.2500,NA"
     assert lines[2] == "beta,3,3,0,NA,0.5000,0.5000"
     assert read_scores(path) == scores
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_read_scores_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\n"
+        "alpha,12,10,0,1.5000,2.2500,NA\n"
+        f"beta,3,3,0,{value},0.5000,0.5000\n"
+    )
+    with pytest.raises(ValidationError, match="^scores CSV row 3: malformed values$"):
+        read_scores(path)

@@ -82,6 +82,13 @@ class TestPearson:
         assert pearson([5, 5, 5], [1, 2, 3]) is None
         assert pearson([0.1, 0.1, 0.1], [1, 2, 3]) is None
 
+    @pytest.mark.parametrize("correlate", [pearson, spearman])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, correlate, bad):
+        for x, y in (([bad, bad, bad], [1, 2, 3]), ([1, 2, 3], [1, bad, 3])):
+            with pytest.raises(ValidationError, match="non-finite"):
+                correlate(x, y)
+
 
 class TestSpearman:
     def test_monotone_is_one(self):
