@@ -75,6 +75,10 @@ class Publication:
         for fid in self.field_ids:
             if not isinstance(fid, str) or not fid:
                 raise ValidationError(f"publication {self.id}: empty field id")
+        # a repeated field would count the publication twice in its own cell
+        if len(self.field_ids) > 1 and len(set(self.field_ids)) < len(self.field_ids):
+            repeated = next(f for i, f in enumerate(self.field_ids) if f in self.field_ids[:i])
+            raise ValidationError(f"publication {self.id}: field_ids repeats '{repeated}'")
         for uid in self.unit_ids:
             if not isinstance(uid, str) or not uid:
                 raise ValidationError(f"publication {self.id}: empty unit id")

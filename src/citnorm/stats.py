@@ -4,20 +4,23 @@ Pearson measures how linearly two indicator series are related, Spearman how
 monotonically (ties receive average ranks). Undefined unit scores are dropped
 pairwise, not listwise, and each reported pair carries the number of items
 that survived so the reduction stays visible.
+
+All of it is pure Python, so only ``simulate`` loads numpy. :func:`pearson` is
+finite at any finite magnitude; the age matrix uses exact integer moments.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .corpus import Publication
 from .errors import ValidationError
 from .indicators import UnitScore
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _INDICATOR_PAIRS = (
     ("cpp_fcsm", "mncs1"),
@@ -26,55 +29,64 @@ _INDICATOR_PAIRS = (
 )
 
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they span."""
-    import numpy as np  # imported here so that trajectory runs without numpy
-    a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a), dtype=float)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
+def average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks as a list of floats; tied values share the mean of the ranks they span."""
+    ranks = [0.0] * len(values)
+    below = 0
+    for _, group in groupby(sorted(range(len(values)), key=values.__getitem__),
+                            key=values.__getitem__):
+        tied = list(group)
+        for k in tied:
+            ranks[k] = below + (len(tied) + 1) / 2
+        below += len(tied)
     return ranks
 
 
-def _paired_arrays(x: Sequence[float], y: Sequence[float]):
-    """``x`` and ``y`` as float arrays, once they are checked to pair up and be finite."""
+def _paired_floats(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[float]]:
+    """``x`` and ``y`` as float lists, once they are checked to pair up and be finite."""
     if len(x) != len(y):
         raise ValidationError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValidationError("need at least two observations")
-    import numpy as np
-    ax = np.asarray(x, dtype=float)
-    ay = np.asarray(y, dtype=float)
-    if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+    fx = list(map(float, x))
+    fy = list(map(float, y))
+    if not (all(map(math.isfinite, fx)) and all(map(math.isfinite, fy))):
         raise ValidationError("cannot correlate non-finite values")
-    return ax, ay
+    return fx, fy
+
+
+def _centered_unit_scale(values: list[float]) -> list[float]:
+    """``values`` over the power of two that puts the largest magnitude in [0.5, 1),
+    then centered. The scaling is exact (bar values 2**1021 below the largest), and
+    no sum of squares can then overflow or underflow (Chan, Golub & LeVeque 1983)."""
+    shift = -math.frexp(max(map(abs, values)))[1]
+    scaled = [math.ldexp(v, shift) for v in values]
+    mean = math.fsum(scaled) / len(scaled)
+    return [v - mean for v in scaled]
+
+
+def _clamped_r(cov: float, var_product: float) -> float:
+    return max(-1.0, min(1.0, cov / math.sqrt(var_product)))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Sample Pearson correlation; None when either vector is constant."""
-    import numpy as np
-    ax, ay = _paired_arrays(x, y)
-    if np.all(ax == ax[0]) or np.all(ay == ay[0]):
+    """Sample Pearson correlation, in [-1, 1] for any finite input; None when
+    either vector is constant."""
+    fx, fy = _paired_floats(x, y)
+    if fx.count(fx[0]) == len(fx) or fy.count(fy[0]) == len(fy):
         return None
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
-    denom = float(np.sqrt(float(dx @ dx) * float(dy @ dy)))
-    if denom == 0:
-        return None
-    r = float(dx @ dy) / denom
-    return max(-1.0, min(1.0, r))
+    dx = _centered_unit_scale(fx)
+    dy = _centered_unit_scale(fy)
+    # the largest magnitude is now at least 0.5 and a non-constant vector holds a
+    # value 2**-54 or more away from it, so neither sum of squares is zero
+    return _clamped_r(math.fsum(map(mul, dx, dy)),
+                      math.fsum(map(mul, dx, dx)) * math.fsum(map(mul, dy, dy)))
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
     """Pearson correlation of the average-rank transforms."""
-    ax, ay = _paired_arrays(x, y)
-    return pearson(average_ranks(ax), average_ranks(ay))
+    fx, fy = _paired_floats(x, y)
+    return pearson(average_ranks(fx), average_ranks(fy))
 
 
 @dataclass(frozen=True)
@@ -154,20 +166,23 @@ def _shared_year_domain(pubs: Sequence[Publication]) -> list[int]:
 
 
 def age_correlation_matrix(pubs: Sequence[Publication]) -> AgeCorrelationMatrix:
-    """Cross-year citation-count correlations for same-year publications."""
-    import numpy as np
+    """Cross-year citation-count correlations for same-year publications, from
+    exact integer moments of the counts (Σx, Σx² per year, Σxy per pair)."""
     ordered = sorted(pubs, key=lambda p: p.id)
     years = _shared_year_domain(ordered)
-    data = np.array(
-        [[pub.citations_by_year[y] for y in years] for pub in ordered], dtype=float
-    )
-    n = len(years)
+    columns = [[pub.citations_by_year[y] for pub in ordered] for y in years]  # type: ignore[index]
+    n_pubs, n = len(ordered), len(years)
+    if n > 1 and n_pubs < 2:
+        raise ValidationError("need at least two observations")
+    sums = [sum(col) for col in columns]
+    # n² times the variance; zero exactly when the year's counts are constant
+    spreads = [n_pubs * sum(map(mul, col, col)) - s * s for col, s in zip(columns, sums)]
     entries: list[list[float | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            r = pearson(data[:, i], data[:, j])
-            entries[i][j] = r
-            entries[j][i] = r
+            if spreads[i] and spreads[j]:
+                cov = n_pubs * sum(map(mul, columns[i], columns[j])) - sums[i] * sums[j]
+                entries[i][j] = entries[j][i] = _clamped_r(cov, spreads[i] * spreads[j])
     return AgeCorrelationMatrix(
         years=tuple(years), entries=tuple(tuple(row) for row in entries)
     )

@@ -240,6 +240,21 @@ def test_integer_literal_beyond_digit_limit_is_one_line_error(tmp_path, capsys, 
     ]
 
 
+def test_repeated_field_id_is_one_line_error(tmp_path, capsys):
+    corpus = tmp_path / "repeated.jsonl"
+    corpus.write_text("".join(json.dumps({
+        "id": pid, "unit_ids": ["u1"], "field_ids": fields, "pub_year": 2000,
+        "doc_type": "article", "citations_total": total,
+    }) + "\n" for pid, fields, total in [("P1", ["f", "f"], 3), ("P2", ["f"], 1)]),
+        encoding="utf-8")
+    code = main(["baselines", "--corpus", str(corpus), "--census", "2000",
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 1: publication P1: field_ids repeats 'f'"
+    ]
+
+
 HOSTILE_CONFIG_VALUES = [
     ("fields", "rate", float("nan")),
     ("fields", "rate", float("inf")),
@@ -320,6 +335,9 @@ def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
         ["plot", "--scores", scores, "--x", "cpp_fcsm", "--y", "mncs1",
          "--out", str(tmp_path / "scatter.svg")],
         ["rank", "--scores", scores, "--by", "mncs2", "--top", "2"],
+        ["correlate", "--scores", scores, "--out", str(tmp_path / "correlations.csv")],
+        ["age-corr", "--corpus", corpus, "--field", "slow", "--pub-year", "2003",
+         "--out", str(tmp_path / "age.csv")],
     ]
     for argv in commands:
         # -X importtime lists every module the run imports on stderr

@@ -59,6 +59,13 @@ class TestParse:
         with pytest.raises(ValidationError, match="line 2: duplicate id P1"):
             parse_corpus(path, census_year=2010, first_year=2000)
 
+    def test_repeated_field_id_names_its_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P1"), record("P2", field_ids=["f1", "f2", "f1"])])
+        with pytest.raises(ValidationError) as info:
+            parse_corpus(path, census_year=2010, first_year=2000)
+        assert str(info.value) == "line 2: publication P2: field_ids repeats 'f1'"
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(record("P1")) + "\n{oops\n", encoding="utf-8")
@@ -210,6 +217,10 @@ class TestInvariants:
     def test_empty_field_ids_rejected(self):
         with pytest.raises(ValidationError, match="field_ids"):
             make_pub("P1", fields=())
+
+    def test_repeated_field_id_rejected(self):
+        with pytest.raises(ValidationError, match="publication P1: field_ids repeats 'f'"):
+            make_pub("P1", fields=("f", "g", "f"))
 
     @pytest.mark.parametrize("field, kwargs", [
         ("pub_year", {"year": True}),

@@ -408,7 +408,7 @@ def mixed_corpora(draw):
             units=tuple(draw(st.lists(st.sampled_from(["u0", "u1", "u2", "u3", "u4"]),
                                       max_size=3))),
             fields=tuple(draw(st.lists(st.sampled_from(["F", "G", "H"]),
-                                       min_size=1, max_size=3))),
+                                       min_size=1, max_size=3, unique=True))),
             year=draw(st.integers(2007, 2010)),
             citations=draw(st.sampled_from([0, 0, 0, 1, 2, 7, 30])),
         )

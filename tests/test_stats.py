@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,18 @@ class TestPearson:
             with pytest.raises(ValidationError, match="non-finite"):
                 correlate(x, y)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_keep_their_value(self, scale):
+        x = [1 * scale, 2 * scale, 3 * scale]
+        y = [3 * scale, 1 * scale, 2 * scale]
+        assert pearson(x, y) == pytest.approx(-0.5, abs=1e-12)
+
+    def test_largest_finite_values_give_finite_r(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson([1.7e308, -1.7e308, 1.0, 1.7e308], [1, 2, 3, 5])
+        assert math.isfinite(r) and -1.0 <= r <= 1.0
+
 
 class TestSpearman:
     def test_monotone_is_one(self):
@@ -102,6 +115,11 @@ class TestSpearman:
 
     def test_average_ranks(self):
         assert list(average_ranks([10, 20, 20, 40])) == [1.0, 2.5, 2.5, 4.0]
+
+    def test_average_ranks_are_a_list_matching_the_oracle(self):
+        values = [3.0, -0.0, 0.0, 7.5, 3.0, 3.0, -2.0]
+        ranks = average_ranks(values)
+        assert type(ranks) is list and ranks == ranks_oracle(values)
 
 
 # Small-integer lattices keep both the inputs and the raw-moment oracle exact,
@@ -141,6 +159,13 @@ def test_symmetry_and_invariance(xy):
     if rs is not None:
         monotone = [v ** 3 + 2 * v for v in x]  # strictly increasing
         assert spearman(monotone, y) == pytest.approx(rs, rel=1e-12, abs=1e-12)
+
+
+@given(paired_vectors, st.integers(-900, 900))
+@settings(max_examples=150)
+def test_power_of_two_scaling_is_exact(xy, k):
+    x, y = xy
+    assert pearson([v * 2.0 ** k for v in x], y) == pearson(x, y)
 
 
 # --- indicator cross-correlation ------------------------------------------
@@ -259,6 +284,10 @@ class TestAgeCorrelationMatrix:
         pubs = [make_pub("a", year=2000, citations=3)]
         with pytest.raises(ValidationError, match="citations_by_year"):
             age_correlation_matrix(pubs)
+
+    def test_single_publication_rejected(self):
+        with pytest.raises(ValidationError, match="two observations"):
+            age_correlation_matrix([cohort_pub("a", 2000, [0, 1, 4])])
 
     def test_mixed_pub_years_rejected(self):
         pubs = [cohort_pub("a", 2000, [1, 2, 3]), cohort_pub("b", 2001, [1, 2])]
