@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from citnorm.corpus import select_cohort
 from citnorm.simulate import FieldSpec, SimulationConfig, UnitSpec, generate_corpus
 from citnorm.stats import (
     age_correlation_matrix,
@@ -46,7 +47,7 @@ def main() -> None:
     corpus = generate_corpus(config)
 
     for fid in ("math", "biochem"):
-        cohort = [p for p in corpus if fid in p.field_ids and p.pub_year == 1999]
+        cohort = select_cohort(corpus, fid, 1999)
         traj = trajectory(cohort, fid, 1999)
         matrix = age_correlation_matrix(cohort)
         write_trajectory(traj, out / f"trajectory_{fid}.csv")

@@ -21,6 +21,7 @@ from .corpus import (
     Publication,
     corpus_to_jsonl,
     parse_corpus,
+    select_cohort,
     select_unit,
     write_corpus,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "score_publication",
     "score_unit",
     "score_units",
+    "select_cohort",
     "select_unit",
     "spearman",
     "trajectory",

@@ -45,22 +45,36 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
     A multi-field publication contributes its full citation count to every one
     of its fields' cells (whole counting). Cell sums are accumulated as exact
     integers in canonical id order and divided once, so partitioned/merged
-    construction yields bit-identical means.
+    construction yields bit-identical means. Reads the corpus's columns: no
+    publication is built.
     """
     if len(corpus) == 0:
         raise ValidationError("cannot compute baselines over an empty corpus")
     sums: dict[tuple[str, int], int] = {}
     sizes: dict[tuple[str, int], int] = {}
-    for pub in corpus:
-        for fid in pub.field_ids:
-            key = (fid, pub.pub_year)
-            sums[key] = sums.get(key, 0) + pub.citations_total
+    for field_ids, year, total in zip(corpus.fields, corpus.pub_years, corpus.totals):
+        for fid in field_ids:
+            key = (fid, year)
+            sums[key] = sums.get(key, 0) + total
             sizes[key] = sizes.get(key, 0) + 1
     cells = {
         key: BaselineCell(mean_citations=sums[key] / sizes[key], cell_size=sizes[key])
         for key in sums
     }
     return BaselineTable(cells=cells)
+
+
+def _expected(table: BaselineTable, field_ids: tuple[str, ...], pub_year: int) -> float:
+    """:func:`expected_citations` of a publication with these fields and year."""
+    total = 0.0
+    for fid in field_ids:
+        cell = table.cells.get((fid, pub_year))
+        if cell is None:
+            raise ValidationError(
+                f"no baseline cell for field '{fid}', year {pub_year}"
+            )
+        total += cell.mean_citations
+    return total / len(field_ids)
 
 
 def expected_citations(table: BaselineTable, pub: Publication) -> float:
@@ -70,15 +84,7 @@ def expected_citations(table: BaselineTable, pub: Publication) -> float:
     multi-field publication it is the arithmetic mean of the cell means over
     the publication's fields, taken in their listed order.
     """
-    total = 0.0
-    for fid in pub.field_ids:
-        cell = table.cells.get((fid, pub.pub_year))
-        if cell is None:
-            raise ValidationError(
-                f"no baseline cell for field '{fid}', year {pub.pub_year}"
-            )
-        total += cell.mean_citations
-    return total / len(pub.field_ids)
+    return _expected(table, pub.field_ids, pub.pub_year)
 
 
 def write_baselines(table: BaselineTable, path: str | Path) -> None:
@@ -89,6 +95,21 @@ def write_baselines(table: BaselineTable, path: str | Path) -> None:
         for (fid, year) in sorted(table.cells):
             cell = table.cells[(fid, year)]
             writer.writerow([fid, year, f"{cell.mean_citations:.6f}", cell.cell_size])
+
+
+def _csv_int(text: str) -> int:
+    """An integer CSV field, written as ``str(int)`` writes it: no sign, padding or '_'."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"non-canonical integer {text!r}")
+    return value
+
+
+def _csv_real(text: str) -> float:
+    """A real CSV field: ASCII, with no '_' and no surrounding whitespace."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"malformed real {text!r}")
+    return float(text)
 
 
 def read_baselines(path: str | Path) -> BaselineTable:
@@ -106,9 +127,9 @@ def read_baselines(path: str | Path) -> BaselineTable:
                 raise ValidationError(f"baseline CSV row {row_no}: expected 4 columns")
             fid, year_s, mean_s, size_s = row
             try:
-                year = int(year_s)
-                mean = float(mean_s)
-                size = int(size_s)
+                year = _csv_int(year_s)
+                mean = _csv_real(mean_s)
+                size = _csv_int(size_s)
             except ValueError:
                 raise ValidationError(f"baseline CSV row {row_no}: malformed values") from None
             if not (math.isfinite(mean) and mean >= 0) or size < 1:

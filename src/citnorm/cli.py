@@ -97,9 +97,7 @@ def _load_corpus(args) -> corpus.Corpus:
 
 
 def _cohort(args) -> list[corpus.Publication]:
-    data = _load_corpus(args)
-    return [p for p in data.publications
-            if args.field in p.field_ids and p.pub_year == args.pub_year]
+    return corpus.select_cohort(_load_corpus(args), args.field, args.pub_year)
 
 
 def _run(args) -> None:

@@ -1,4 +1,4 @@
-"""Immutable publication corpus plus JSON Lines ingestion and validation.
+"""Immutable publication corpus, held as columns, plus JSON Lines ingestion and validation.
 
 A corpus is the universe of scored documents. Each publication carries the
 subject fields it belongs to, the units (research groups, institutions,
@@ -25,17 +25,28 @@ or ``"02008"`` is rejected, not read as 2008. Unknown keys are rejected by name.
 :func:`parse_corpus` reads a file once; the census year, when not given, is the
 largest year the records carry. Publications are kept in ascending id order
 everywhere, so downstream floating-point summations are bit-reproducible.
+
+A :class:`Corpus` stores one column per fact (ids, years, totals, document
+types, unit and field id tuples, and one by-year row per publication), not
+one object per record. :func:`parse_corpus` and the simulator fill the
+columns directly; writing, baselines, scoring and the selections below read
+them. :class:`Publication` objects are built only where a caller asks for
+them: ``corpus.publications`` and iteration build the whole tuple once, on
+first use, and :func:`select_unit` and :func:`select_cohort` build only the
+publications they return.
 """
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter, lt
+from operator import add, attrgetter, le, lt
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -106,31 +117,10 @@ class Publication:
                 previous = count
 
 
-# Publication's slot descriptors in field order; setting through them is what
-# object.__setattr__ does for a slot, minus the attribute lookup per call.
-(_set_id, _set_unit_ids, _set_field_ids, _set_pub_year, _set_doc_type, _set_citations_total,
- _set_citations_by_year) = (
-    Publication.__dict__[name].__set__ for name in Publication.__slots__
-)
-
-
-def _prechecked_publication(id, unit_ids, field_ids, pub_year, doc_type, citations_total,
-                            citations_by_year) -> Publication:
-    """A :class:`Publication` filled slot by slot, without ``__post_init__``.
-
-    Only for a caller that has itself established every fact ``__post_init__``
-    checks, and hands over ``unit_ids`` and ``field_ids`` as tuples: the
-    simulator, which checks its draws in bulk.
-    """
-    pub = object.__new__(Publication)
-    _set_id(pub, id)
-    _set_unit_ids(pub, unit_ids)
-    _set_field_ids(pub, field_ids)
-    _set_pub_year(pub, pub_year)
-    _set_doc_type(pub, doc_type)
-    _set_citations_total(pub, citations_total)
-    _set_citations_by_year(pub, citations_by_year)
-    return pub
+# Publication's slot descriptors in field order. The materializer fills one
+# column at a time through them: what object.__setattr__ does for a slot,
+# minus the attribute lookup per call.
+_SLOT_SETTERS = tuple(Publication.__dict__[name].__set__ for name in Publication.__slots__)
 
 
 def _count_fault(year, count) -> str:
@@ -142,89 +132,199 @@ def _count_fault(year, count) -> str:
     return "negative citation count" if count < 0 else f"non-monotone citations_by_year at {year}"
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Validated, immutable set of publications in canonical (id) order.
+def _row(counts: dict[int, int] | None, year: int) -> tuple[int, ...] | None:
+    """``counts`` as values for ``year``, ``year + 1``, ...
 
-    Citations are counted until the end of ``census_year``; every publication
-    year must fall inside [first_year, census_year]. Safe for concurrent
-    read access once constructed.
+    Expects the distinct integer keys that :class:`Publication` has checked.
+    Keys that are not such a run give the empty row, which covers no span.
     """
-
-    publications: tuple[Publication, ...]
-    census_year: int
-    first_year: int
-
-    def __post_init__(self) -> None:
-        first, census = self.first_year, self.census_year
-        if first > census:
-            raise ValidationError(f"first_year {first} is after census_year {census}")
-        publications = tuple(self.publications)
-        ids = [pub.id for pub in publications]
-        # strictly increasing ids are already in canonical order and hold no duplicate
-        if not all(map(lt, ids, ids[1:])):
-            publications = tuple(sorted(publications, key=attrgetter("id")))
-            ids = [pub.id for pub in publications]
-            for pid, next_id in zip(ids, ids[1:]):
-                if pid == next_id:
-                    raise ValidationError(f"duplicate id {pid}")
-        object.__setattr__(self, "publications", publications)
-        for pub in publications:
-            fault = _span_fault(pub, first, census)
-            if fault is not None:
-                raise ValidationError(f"publication {pub.id}: {fault}")
-
-    def __len__(self) -> int:
-        return len(self.publications)
-
-    def __iter__(self) -> Iterator[Publication]:
-        return iter(self.publications)
-
-    def unit_ids(self) -> list[str]:
-        """All unit ids occurring in the corpus, ascending."""
-        ids = {uid for pub in self.publications for uid in pub.unit_ids}
-        return sorted(ids)
-
-
-def _span_fault(pub: Publication, first: int, census: int) -> str | None:
-    """What is wrong with ``pub``'s year or by-year counts for the span, if anything.
-
-    Expects the integer years that :class:`Publication` has checked.
-    """
-    year = pub.pub_year
-    if not first <= year <= census:
-        return f"pub_year {year} outside [{first}, {census}]"
-    counts = pub.citations_by_year
     if counts is None:
         return None
-    # distinct integer years, as many as the span, with its two ends: no gap
-    if len(counts) != census - year + 1 or min(counts) != year or max(counts) != census:
+    n = len(counts)
+    if n and min(counts) == year and max(counts) == year + n - 1:  # distinct ints: a run
+        return tuple(map(counts.__getitem__, range(year, year + n)))
+    return ()
+
+
+def _span_fault(year: int, total: int, row: tuple[int, ...] | None, first: int,
+                census: int) -> str | None:
+    """What is wrong with a publication's year or by-year row for the span, if anything."""
+    if not first <= year <= census:
+        return f"pub_year {year} outside [{first}, {census}]"
+    if row is None:
+        return None
+    if year + len(row) - 1 != census:
         return f"citations_by_year must cover every year from {year} to {census} with no gaps"
-    if counts[census] != pub.citations_total:
+    if row[-1] != total:
         return f"citations_by_year at census year {census} does not equal citations_total"
     return None
 
 
-def _prechecked_corpus(publications: tuple[Publication, ...], census_year: int,
-                       first_year: int) -> Corpus:
-    """A :class:`Corpus` built without ``__post_init__``'s pass over its publications.
+# The Publication attribute behind each Corpus column, in column order
+_COLUMN_ATTRS = ("id", "pub_year", "citations_total", "doc_type", "unit_ids", "field_ids",
+                 "citations_by_year")
 
-    Only for a caller that has checked each publication against the span and
-    hands them over in strictly increasing id order: the simulator and
-    :func:`parse_corpus`.
+
+def _column(index: int) -> property:
+    return property(lambda corpus: corpus._column_tuples()[index])
+
+
+class Corpus:
+    """Validated, immutable set of publications in canonical (id) order.
+
+    Citations are counted until the end of ``census_year``; every publication
+    year must fall inside [first_year, census_year]. The corpus reads as
+    columns, tuples whose i-th entries describe the publication with the i-th
+    smallest id:
+
+        ids         the ids, strictly increasing
+        pub_years   publication years
+        totals      ``citations_total`` values
+        doc_types   document type labels
+        units       ``unit_ids`` tuples, as listed (a repeated id is kept)
+        fields      ``field_ids`` tuples, as listed
+        by_year     cumulative counts for each year from ``pub_year`` to
+                    ``census_year``, or None when the record has none
+
+    A corpus starts from its columns (:func:`parse_corpus`, the simulator) or
+    from its publications (this constructor) and builds the other on first
+    use. Building the :class:`Publication` tuple (``publications``, iteration)
+    releases the columns, so a corpus read as publications does not hold every
+    fact twice; columns asked for afterwards are rebuilt from the publications.
+    Safe for concurrent read access once constructed.
     """
-    if first_year > census_year:
-        raise ValidationError(f"first_year {first_year} is after census_year {census_year}")
-    corpus = object.__new__(Corpus)
-    object.__setattr__(corpus, "publications", publications)
-    object.__setattr__(corpus, "census_year", census_year)
-    object.__setattr__(corpus, "first_year", first_year)
-    return corpus
+
+    __slots__ = ("census_year", "first_year", "_columns", "_publications")
+
+    ids, pub_years, totals, doc_types, units, fields, by_year = map(_column, range(7))
+
+    def __init__(self, publications: Iterable[Publication], census_year: int,
+                 first_year: int) -> None:
+        first, census = first_year, census_year
+        if first > census:
+            raise ValidationError(f"first_year {first} is after census_year {census}")
+        pubs = tuple(publications)
+        ids = [pub.id for pub in pubs]
+        # strictly increasing ids are already in canonical order and hold no duplicate
+        if not all(map(lt, ids, ids[1:])):
+            pubs = tuple(sorted(pubs, key=attrgetter("id")))
+            ids = [pub.id for pub in pubs]
+            for pid, next_id in zip(ids, ids[1:]):
+                if pid == next_id:
+                    raise ValidationError(f"duplicate id {pid}")
+        for pub in pubs:
+            row = _row(pub.citations_by_year, pub.pub_year)
+            fault = _span_fault(pub.pub_year, pub.citations_total, row, first, census)
+            if fault is not None:
+                raise ValidationError(f"publication {pub.id}: {fault}")
+        _fill(self, census, first, None, pubs)
+
+    @classmethod
+    def _from_columns(cls, census_year: int, first_year: int, *columns) -> Corpus:
+        """A corpus over columns (in ``_COLUMN_ATTRS`` order) that need no check: every
+        record has passed the :class:`Publication` checks and the span checks, and
+        the ids are strictly increasing. For :func:`parse_corpus` and the simulator."""
+        corpus = object.__new__(cls)
+        _fill(corpus, census_year, first_year, tuple(map(tuple, columns)), None)
+        return corpus
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.census_year, self.first_year, self._column_tuples())
+                == (other.census_year, other.first_year, other._column_tuples()))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):  # copy and pickle rebuild through the columns, not __setattr__
+        return Corpus._from_columns, (self.census_year, self.first_year, *self._column_tuples())
+
+    def __len__(self) -> int:
+        pubs = self._publications
+        return len(self._column_tuples()[0] if pubs is None else pubs)
+
+    def __iter__(self) -> Iterator[Publication]:
+        return iter(self.publications)
+
+    @property
+    def publications(self) -> tuple[Publication, ...]:
+        """Every publication, ascending by id; built on first use, then kept."""
+        pubs = self._publications
+        if pubs is None:
+            pubs = _materialize(self, None)
+            object.__setattr__(self, "_publications", pubs)
+            object.__setattr__(self, "_columns", None)  # the publications hold every fact
+        return pubs
+
+    def _column_tuples(self) -> tuple[tuple, ...]:
+        columns = self._columns
+        if columns is None:
+            pubs = self._publications
+            columns = tuple(tuple(map(attrgetter(attr), pubs)) for attr in _COLUMN_ATTRS[:6])
+            columns += (tuple(_row(pub.citations_by_year, pub.pub_year) for pub in pubs),)
+            object.__setattr__(self, "_columns", columns)
+        return columns
+
+    def _publications_at(self, indices: Sequence[int]) -> list[Publication]:
+        """The publications at ``indices``, without building the others."""
+        pubs = self._publications
+        if pubs is not None:
+            return list(map(pubs.__getitem__, indices))
+        return list(_materialize(self, indices))
+
+    def unit_ids(self) -> list[str]:
+        """All unit ids occurring in the corpus, ascending."""
+        return sorted(set(chain.from_iterable(self.units)))
+
+
+def _fill(corpus: Corpus, census_year: int, first_year: int, columns, publications) -> None:
+    for name, value in zip(Corpus.__slots__, (census_year, first_year, columns, publications)):
+        object.__setattr__(corpus, name, value)
+
+
+def _materialize(corpus: Corpus, indices: Sequence[int] | None) -> tuple[Publication, ...]:
+    """Publications for the records at ``indices`` (all when None), built column by column.
+
+    The corpus's columns hold only checked values, so this is the one place
+    that builds a :class:`Publication` without ``__post_init__``. The
+    publications share the columns' id strings, id tuples and numbers.
+    """
+    columns = corpus._column_tuples()
+    if indices is not None:
+        columns = [list(map(column.__getitem__, indices)) for column in columns]
+    years, rows = columns[1], columns[6]
+    census = corpus.census_year
+    # a row spans its year to the census year, so no tail is longer than a row
+    tails = {year: tuple(range(year, census + 1))
+             for year in {year for year, row in zip(years, rows) if row is not None}}
+    counts = (None if row is None else dict(zip(tails[year], row))
+              for year, row in zip(years, rows))
+    pubs = tuple(map(object.__new__, repeat(Publication, len(years))))
+    by_attr = dict(zip(_COLUMN_ATTRS, (*columns[:6], counts)))
+    for attr, set_slot in zip(Publication.__slots__, _SLOT_SETTERS):
+        deque(map(set_slot, pubs, by_attr[attr]), maxlen=0)
+    return pubs
 
 
 def select_unit(corpus: Corpus, unit_id: str) -> list[Publication]:
     """Publications credited to ``unit_id``, ascending by id (possibly empty)."""
-    return [pub for pub in corpus.publications if unit_id in pub.unit_ids]
+    return corpus._publications_at(
+        [i for i, units in enumerate(corpus.units) if unit_id in units]
+    )
+
+
+def select_cohort(corpus: Corpus, field_id: str, pub_year: int) -> list[Publication]:
+    """Publications of ``field_id`` published in ``pub_year``, ascending by id."""
+    return corpus._publications_at([
+        i for i, (fields, year) in enumerate(zip(corpus.fields, corpus.pub_years))
+        if year == pub_year and field_id in fields
+    ])
 
 
 def _year(key: str) -> int | None:
@@ -277,12 +377,112 @@ def _publication_from_obj(obj: dict, line_no: int,
         raise ValidationError(f"line {line_no}: {exc}") from None
 
 
+class _RecordReader:
+    """Column values of the JSON records of one file, each record checked once.
+
+    The common record is read without building a :class:`Publication`: its
+    keys are known, its values have the documented JSON types, its unit and
+    field id lists have been seen and checked before (each distinct list is
+    kept as one tuple, shared by every record that lists it), and its by-year
+    keys are canonical consecutive years from its publication year on, in
+    ascending order. Any other record goes through
+    :func:`_publication_from_obj`, which reports the first fault in the
+    documented order or returns the record if it has none.
+    """
+
+    _INT_ONLY = frozenset({int})
+
+    def __init__(self) -> None:
+        self.year_of = lru_cache(maxsize=None)(_year)  # a file repeats a few dozen year keys
+        self.unit_tuples: dict[tuple, tuple[str, ...]] = {}
+        self.field_tuples: dict[tuple, tuple[str, ...]] = {}
+        self.doc_types: dict[str, str] = {}
+        self.run_starts: dict[tuple[str, ...], int | None] = {}
+        self.latest_key: int | None = None  # largest by-year key of a record read here
+
+    def record(self, obj, line_no: int) -> tuple:
+        """(id, pub_year, citations_total, doc_type, unit_ids, field_ids, by-year row)."""
+        values = self._regular(obj)
+        if values is not None:
+            return values
+        pub = _publication_from_obj(obj, line_no, self.year_of)
+        row = _row(pub.citations_by_year, pub.pub_year)
+        if pub.citations_by_year:
+            latest = max(pub.citations_by_year)
+            if self.latest_key is None or latest > self.latest_key:
+                self.latest_key = latest
+        return (pub.id, pub.pub_year, pub.citations_total, pub.doc_type, pub.unit_ids,
+                pub.field_ids, row)
+
+    def _regular(self, obj) -> tuple | None:
+        """The record's column values if it is a common one (see the class), else None."""
+        if type(obj) is not dict or not _ALL_KEYS.issuperset(obj):
+            return None
+        try:
+            pid, units, fields = obj["id"], obj["unit_ids"], obj["field_ids"]
+            year, doc_type, total = obj["pub_year"], obj["doc_type"], obj["citations_total"]
+        except KeyError:
+            return None
+        if not (type(pid) is str and pid and type(units) is list and type(fields) is list
+                and type(year) is int and type(doc_type) is str and type(total) is int
+                and 0 <= total <= _MAX_CITATIONS):
+            return None
+        try:
+            unit_ids = self.unit_tuples.get(tuple(units)) or self._new_ids(units, self.unit_tuples)
+            field_ids = (self.field_tuples.get(tuple(fields))
+                         or self._new_ids(fields, self.field_tuples))
+        except TypeError:  # an unhashable element, which is no id
+            return None
+        if unit_ids is None or field_ids is None:
+            return None
+        counts = obj.get("citations_by_year")
+        if counts is None:
+            row = None
+        elif type(counts) is dict and self._run_start(tuple(counts)) == year:
+            row = tuple(counts.values())
+            if not ({*map(type, row)} == self._INT_ONLY and row[0] >= 0
+                    and all(map(le, row, row[1:]))):
+                return None
+        else:
+            return None
+        doc_type = self.doc_types.setdefault(doc_type, doc_type)
+        return pid, year, total, doc_type, unit_ids, field_ids, row
+
+    def _new_ids(self, values: list, known: dict) -> tuple[str, ...] | None:
+        """``values`` as a tuple kept in ``known``, if they are valid unit or field ids."""
+        ids = tuple(values)
+        if not all(type(i) is str and i for i in ids) or (
+                known is self.field_tuples and not (ids and len(set(ids)) == len(ids))):
+            return None
+        known[ids] = ids
+        return ids
+
+    def _run_start(self, keys: tuple[str, ...]) -> int | None:
+        """The first year of ``keys`` if they are canonical consecutive ascending years."""
+        if keys not in self.run_starts:
+            years = list(map(self.year_of, keys))
+            self.run_starts[keys] = years[0] if years and None not in years and years == list(
+                range(years[0], years[0] + len(years))) else None
+        return self.run_starts[keys]
+
+
 def _json_line(line: str, line_no: int):
-    """``json.loads`` of one line, its faults as line-numbered :class:`ValidationError`."""
+    """``json.loads`` of one line, its faults as line-numbered :class:`ValidationError`.
+
+    The file is decoded with ``surrogateescape``, so a byte that is not UTF-8
+    arrives here as a lone surrogate, which no valid line holds.
+    """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"line {line_no}: not valid UTF-8") from None
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"line {line_no}: malformed JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValidationError(f"line {line_no}: malformed JSON: nesting too deep") from None
     except ValueError:  # the only other fault: an integer literal beyond int's digit limit
         raise ValidationError(
             f"line {line_no}: integer literal longer than {sys.get_int_max_str_digits()} digits"
@@ -293,64 +493,79 @@ def parse_corpus(path: str | Path, census_year: int | None = None,
                  first_year: int | None = None) -> Corpus:
     """Parse a JSON Lines publication file into a validated :class:`Corpus`.
 
-    The file is read once. ``census_year`` defaults to the largest year the
+    The file is read once, into columns; no :class:`Publication` is built for
+    a well-formed record. ``census_year`` defaults to the largest year the
     records carry, as ``pub_year`` or as a ``citations_by_year`` key;
     ``first_year`` defaults to the earliest ``pub_year``. A record's own faults
     are reported as its line is read, its span and by-year coverage after the
     read, once the census year is known. Every error names its line.
     """
-    publications: list[Publication] = []
+    reader = _RecordReader()
+    records: list[tuple] = []
     line_nos: list[int] = []
     seen_ids: set[str] = set()
-    year_of = lru_cache(maxsize=None)(_year)  # a file repeats a few dozen year keys
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            pub = _publication_from_obj(_json_line(line, line_no), line_no, year_of)
-            if pub.id in seen_ids:
-                raise ValidationError(f"line {line_no}: duplicate id {pub.id}")
-            seen_ids.add(pub.id)
-            publications.append(pub)
+            record = reader.record(_json_line(line, line_no), line_no)
+            pid = record[0]
+            if pid in seen_ids:
+                raise ValidationError(f"line {line_no}: duplicate id {pid}")
+            seen_ids.add(pid)
+            records.append(record)
             line_nos.append(line_no)
+    columns = tuple(zip(*records)) or ((),) * 7
+    del records
+    ids, years, totals, _, _, _, rows = columns
     if census_year is None:
-        if not publications:
+        if not ids:
             raise ValidationError(f"cannot infer a census year from {path}")
-        census_year = max(max((pub.pub_year, *(pub.citations_by_year or ())))
-                          for pub in publications)
+        census_year = max(year + len(row) - 1 if row else year for year, row in zip(years, rows))
+        if reader.latest_key is not None:  # a misaligned row's keys may run past its end
+            census_year = max(census_year, reader.latest_key)
     if first_year is None:
-        first_year = min((pub.pub_year for pub in publications), default=census_year)
-    for line_no, pub in zip(line_nos, publications):
-        fault = _span_fault(pub, first_year, census_year)
+        first_year = min(years, default=census_year)
+    for line_no, pid, year, total, row in zip(line_nos, ids, years, totals, rows):
+        fault = _span_fault(year, total, row, first_year, census_year)
         if fault is not None:
-            raise ValidationError(f"line {line_no}: publication {pub.id}: {fault}")
-    publications.sort(key=attrgetter("id"))  # linear on input already in id order
-    return _prechecked_corpus(tuple(publications), census_year, first_year)
-
-
-def _jsonl_line(pub: Publication) -> str:
-    """``json.dumps(obj, separators=(",", ":"))`` of the record, built directly.
-
-    Keys in format order and ``citations_by_year`` in ascending years; strings
-    go through json's own ASCII escaper, and every number is a plain int.
-    """
-    units = ",".join(map(_json_str, pub.unit_ids))
-    fields = ",".join(map(_json_str, pub.field_ids))
-    line = (
-        f'{{"id":{_json_str(pub.id)},"unit_ids":[{units}],"field_ids":[{fields}],'
-        f'"pub_year":{pub.pub_year},"doc_type":{_json_str(pub.doc_type)},'
-        f'"citations_total":{pub.citations_total}'
-    )
-    counts = pub.citations_by_year
-    if counts is None:
-        return line + "}\n"
-    by_year = ",".join([f'"{year}":{counts[year]}' for year in sorted(counts)])
-    return f'{line},"citations_by_year":{{{by_year}}}}}\n'
+            raise ValidationError(f"line {line_no}: publication {pid}: {fault}")
+    if first_year > census_year:
+        raise ValidationError(f"first_year {first_year} is after census_year {census_year}")
+    if not all(map(lt, ids, ids[1:])):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        columns = tuple(tuple(map(column.__getitem__, order)) for column in columns)
+    return Corpus._from_columns(census_year, first_year, *columns)
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
-    """Serialize a corpus back to JSON Lines text, in canonical order."""
-    return "".join(map(_jsonl_line, corpus.publications))
+    """Serialize a corpus back to JSON Lines text, in canonical order.
+
+    Each line is ``json.dumps(obj, separators=(",", ":"))`` of the record,
+    built directly: keys in format order and ``citations_by_year`` in
+    ascending years; strings go through json's own ASCII escaper, and every
+    number is a plain int.
+    """
+    census = corpus.census_year
+    year_keys: dict[int, list[str]] = {}  # '"year":' from a publication year to the census
+    lines = []
+    for pid, units, fields, year, doc_type, total, row in zip(
+            corpus.ids, corpus.units, corpus.fields, corpus.pub_years, corpus.doc_types,
+            corpus.totals, corpus.by_year):
+        line = (
+            f'{{"id":{_json_str(pid)},"unit_ids":[{",".join(map(_json_str, units))}],'
+            f'"field_ids":[{",".join(map(_json_str, fields))}],"pub_year":{year},'
+            f'"doc_type":{_json_str(doc_type)},"citations_total":{total}'
+        )
+        if row is None:
+            lines.append(line + "}\n")
+            continue
+        keys = year_keys.get(year)
+        if keys is None:
+            keys = year_keys[year] = [f'"{y}":' for y in range(year, census + 1)]
+        by_year = ",".join(map(add, keys, map(str, row)))
+        lines.append(f'{line},"citations_by_year":{{{by_year}}}}}\n')
+    return "".join(lines)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -24,10 +24,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .baseline import BaselineTable, expected_citations
+from .baseline import BaselineTable, _csv_int, _csv_real, _expected, expected_citations
 from .corpus import Corpus, Publication
 from .errors import ValidationError
 
@@ -98,6 +100,19 @@ def score_publication(pub: Publication, table: BaselineTable) -> ScoredPublicati
     )
 
 
+def _ratio_of_sums(cs: Sequence[int], es: Sequence[float]) -> float | None:
+    """Σc / Σe, summing e one by one in the given order; None when Σe = 0."""
+    total_e = reduce(add, es, 0.0)
+    return None if total_e == 0 else sum(cs) / total_e
+
+
+def _mean_ratio(cs: Sequence[int], es: Sequence[float]) -> MncsResult:
+    """Mean of c/e over the pairs with e != 0, summed one by one in the given order."""
+    ratios = [c / e for c, e in zip(cs, es) if e != 0]
+    value = reduce(add, ratios, 0.0) / len(ratios) if ratios else None
+    return MncsResult(value=value, n_used=len(ratios), n_excluded_zero_e=len(cs) - len(ratios))
+
+
 def cpp_fcsm(pubs: Sequence[ScoredPublication]) -> float | None:
     """Ratio of summed actual to summed expected citations.
 
@@ -107,14 +122,8 @@ def cpp_fcsm(pubs: Sequence[ScoredPublication]) -> float | None:
     """
     if not pubs:
         raise ValidationError("cpp_fcsm requires at least one publication")
-    total_c = 0
-    total_e = 0.0
-    for pub in sorted(pubs, key=lambda p: p.id):
-        total_c += pub.c
-        total_e += pub.e
-    if total_e == 0:
-        return None
-    return total_c / total_e
+    ordered = sorted(pubs, key=attrgetter("id"))
+    return _ratio_of_sums([pub.c for pub in ordered], [pub.e for pub in ordered])
 
 
 def mncs(
@@ -129,20 +138,10 @@ def mncs(
     """
     if not pubs:
         raise ValidationError("mncs requires at least one publication")
-    total = 0.0
-    n_used = 0
-    n_zero_e = 0
-    for pub in sorted(pubs, key=lambda p: p.id):
-        if exclude_recent and pub.pub_year > census_year - 1:
-            continue
-        ratio = pub.ratio
-        if ratio is None:
-            n_zero_e += 1
-            continue
-        total += ratio
-        n_used += 1
-    value = total / n_used if n_used > 0 else None
-    return MncsResult(value=value, n_used=n_used, n_excluded_zero_e=n_zero_e)
+    ordered = sorted(pubs, key=attrgetter("id"))
+    if exclude_recent:
+        ordered = [pub for pub in ordered if pub.pub_year <= census_year - 1]
+    return _mean_ratio([pub.c for pub in ordered], [pub.e for pub in ordered])
 
 
 def score_unit(corpus: Corpus, table: BaselineTable, unit_id: str) -> UnitScore:
@@ -156,34 +155,43 @@ def score_units(
     """Score several units (all corpus units when ``unit_ids`` is None).
 
     One score per distinct requested unit, ascending by id. A single pass over
-    the corpus in id order scores each publication of a requested unit once
-    and credits it to every such unit it lists (a repeated unit counts once),
-    so cost is corpus size plus unit memberships and per-unit sums keep id
-    order. Other units' publications are never scored or looked up.
+    the corpus's columns in id order finds each publication's requested units
+    (a repeated unit counts once) and looks up its expected count once per
+    distinct (fields, year); per-unit sums then run over the unit's
+    publications in id order. Cost is corpus size plus unit memberships, no
+    publication is built, and other units' publications are never looked up.
     """
     wanted = None if unit_ids is None else set(unit_ids)
-    members: dict[str, list[ScoredPublication]] = {}
-    for pub in corpus.publications:
-        credited = set(pub.unit_ids) if wanted is None else wanted.intersection(pub.unit_ids)
+    expected: dict[tuple[tuple[str, ...], int], float] = {}
+    es: list[float] = [0.0] * len(corpus)
+    members: dict[str, list[int]] = {}
+    for i, (units, fields, year) in enumerate(zip(corpus.units, corpus.fields,
+                                                  corpus.pub_years)):
+        credited = set(units) if wanted is None else wanted.intersection(units)
         if not credited:
             continue
-        scored = score_publication(pub, table)
+        e = expected.get((fields, year))
+        if e is None:
+            e = expected[(fields, year)] = _expected(table, fields, year)
+        es[i] = e
         for uid in credited:
-            members.setdefault(uid, []).append(scored)
-    census_year = corpus.census_year
+            members.setdefault(uid, []).append(i)
+    totals, years, last_full_year = corpus.totals, corpus.pub_years, corpus.census_year - 1
     scores = []
     for uid in sorted(members) if wanted is None else sorted(wanted):
-        scored = members.get(uid)
-        if scored is None:
+        rows = members.get(uid)
+        if rows is None:
             raise ValidationError(f"unit '{uid}' has no publications")
-        m1 = mncs(scored, census_year, exclude_recent=False)
-        m2 = mncs(scored, census_year, exclude_recent=True)
+        full = [i for i in rows if years[i] <= last_full_year]
+        cs, unit_es = list(map(totals.__getitem__, rows)), list(map(es.__getitem__, rows))
+        m1 = _mean_ratio(cs, unit_es)
+        m2 = _mean_ratio(list(map(totals.__getitem__, full)), list(map(es.__getitem__, full)))
         scores.append(UnitScore(
             unit_id=uid,
-            n_total=len(scored),
-            n_mncs2=sum(1 for pub in scored if pub.pub_year <= census_year - 1),
+            n_total=len(rows),
+            n_mncs2=len(full),
             n_excluded_zero_e=m1.n_excluded_zero_e,
-            cpp_fcsm=cpp_fcsm(scored),
+            cpp_fcsm=_ratio_of_sums(cs, unit_es),
             mncs1=m1.value,
             mncs2=m2.value,
         ))
@@ -286,7 +294,7 @@ def write_scores(scores: Sequence[UnitScore], path: str | Path) -> None:
 
 def _parse_value(text: str) -> float | None:
     """A real as :func:`format_value` writes it: NA is None, and nan or inf are malformed."""
-    value = None if text == "NA" else float(text)
+    value = None if text == "NA" else _csv_real(text)
     if value is not None and not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     return value
@@ -308,9 +316,9 @@ def read_scores(path: str | Path) -> list[UnitScore]:
             try:
                 scores.append(UnitScore(
                     unit_id=row[0],
-                    n_total=int(row[1]),
-                    n_mncs2=int(row[2]),
-                    n_excluded_zero_e=int(row[3]),
+                    n_total=_csv_int(row[1]),
+                    n_mncs2=_csv_int(row[2]),
+                    n_excluded_zero_e=_csv_int(row[3]),
                     cpp_fcsm=_parse_value(row[4]),
                     mncs1=_parse_value(row[5]),
                     mncs2=_parse_value(row[6]),

@@ -22,28 +22,25 @@ comparisons well-defined.
 
 Every fact a :class:`~citnorm.corpus.Publication` and a
 :class:`~citnorm.corpus.Corpus` check holds by construction here or is checked
-once on the drawn arrays, so records are built without re-checking each one:
-years come from the configured span, by-year counts run from the publication
-year to the census year and end at the total, ids are zero-padded serials in
-increasing order, and the increments are checked to be non-negative and their
-totals to stay within 2**53 - 1.
+once on the drawn arrays, so the corpus's columns are filled without
+re-checking each record, and no ``Publication`` is built: years come from the
+configured span, by-year counts run from the publication year to the census
+year and end at the total, ids are zero-padded serials in increasing order,
+and the increments are checked to be non-negative and their totals to stay
+within 2**53 - 1.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import (
-    _MAX_CITATIONS,
-    Corpus,
-    Publication,
-    _prechecked_corpus,
-    _prechecked_publication,
-)
+from .corpus import _MAX_CITATIONS, Corpus
 from .errors import ValidationError
 
 # Shape stream seed; independent of config.seed by design (see module docs).
@@ -169,8 +166,10 @@ def load_config(path: str | Path) -> SimulationConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except ValueError as exc:  # not JSON, or an integer beyond int's digit limit
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer beyond int's digit limit
             raise ValidationError(f"malformed config JSON: {getattr(exc, 'msg', exc)}") from None
+        except RecursionError:
+            raise ValidationError("malformed config JSON: nesting too deep") from None
     return config_from_dict(obj)
 
 
@@ -186,8 +185,7 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
     count_rng = np.random.default_rng(config.seed)
     first, census = config.first_year, config.census_year
     year_grid = np.arange(first, census + 1)
-    years = year_grid.tolist()
-    year_tails = [years[start:] for start in range(len(years))]
+    year_objects = {year: year for year in range(first, census + 1)}  # one int per year
     rates = np.array([f.rate for f in config.fields], dtype=float)
     field_ids = [(f.field_id,) for f in config.fields]
     if config.dispersion > 0:
@@ -195,8 +193,12 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
 
     total = sum(u.n_pubs for u in config.units)
     width = max(8, len(str(total - 1)))
-    publications: list[Publication] = []
-    serial = 0
+    ids: list[str] = []
+    years: list[int] = []
+    totals: list[int] = []
+    units: list[tuple[str, ...]] = []
+    fields: list[tuple[str, ...]] = []
+    rows: list[tuple[int, ...]] = []
     for unit in config.units:
         n = unit.n_pubs
         pub_years = shape_rng.integers(first, census + 1, size=n)
@@ -216,18 +218,22 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
             raise ValidationError(
                 f"unit '{unit.unit_id}': cannot draw citations: {exc}"
             ) from None
-        ids = [str(i).zfill(width) for i in range(serial, serial + n)]
-        cumulative = _checked_cumsum(increments, ids, first)
-        unit_ids = (unit.unit_id,)
-        for pid, y0, f, row in zip(ids, pub_years.tolist(), field_idx.tolist(),
-                                   cumulative.tolist()):
-            start = y0 - first
-            publications.append(_prechecked_publication(
-                pid, unit_ids, field_ids[f], y0, "article", row[-1],
-                dict(zip(year_tails[start], row[start:])),
-            ))
-        serial += n
-    return _prechecked_corpus(tuple(publications), census, first)
+        del mean  # each (n, years) array goes as soon as it is used: they set peak memory
+        unit_pub_ids = [str(i).zfill(width) for i in range(len(ids), len(ids) + n)]
+        # every row from its publication year to the census year, row after row
+        ragged = _checked_cumsum(increments, unit_pub_ids, first)[after | same]
+        del increments, after, same
+        ragged = tuple(ragged.tolist())
+        ends = np.cumsum(census + 1 - pub_years).tolist()
+        unit_rows = list(map(ragged.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+        rows.extend(unit_rows)
+        totals.extend(map(itemgetter(-1), unit_rows))
+        ids.extend(unit_pub_ids)
+        years.extend(map(year_objects.__getitem__, pub_years.tolist()))
+        units.extend(repeat((unit.unit_id,), n))
+        fields.extend(map(field_ids.__getitem__, field_idx.tolist()))
+    return Corpus._from_columns(census, first, ids, years, totals, repeat("article", total),
+                                units, fields, rows)
 
 
 def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> np.ndarray:

@@ -48,8 +48,11 @@ def _paired_floats(x: Sequence[float], y: Sequence[float]) -> tuple[list[float],
         raise ValidationError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValidationError("need at least two observations")
-    fx = list(map(float, x))
-    fy = list(map(float, y))
+    try:
+        fx = list(map(float, x))
+        fy = list(map(float, y))
+    except OverflowError:  # an integer beyond float range
+        raise ValidationError("cannot correlate values beyond float range") from None
     if not (all(map(math.isfinite, fx)) and all(map(math.isfinite, fy))):
         raise ValidationError("cannot correlate non-finite values")
     return fx, fy

@@ -171,3 +171,26 @@ def test_read_rejects_non_finite_mean(tmp_path, mean):
     )
     with pytest.raises(ValidationError, match="^baseline CSV row 3: invalid cell$"):
         read_baselines(path)
+
+
+@pytest.mark.parametrize("row", [
+    "F,2_000,1.000000,1",  # '_' in an integer
+    "F,2006,1.000000,+3",  # a sign on an integer
+    "F,２００６,1.000000,1",  # non-ASCII digits
+    "F,2006,1.000000, 4",  # whitespace around an integer
+    "F,02006,1.000000,1",  # a padded integer
+    "F,2006,1_0.5,1",  # '_' in a real
+    "F,2006,１.5,1",  # non-ASCII digits in a real
+    "F,2006,1.5 ,1",  # whitespace around a real
+    "f,2_000,1_0.5,+3",
+])
+def test_read_rejects_coerced_numerals(tmp_path, row):
+    path = tmp_path / "baselines.csv"
+    path.write_text(
+        "field_id,pub_year,mean_citations,cell_size\n"
+        "F,2005,1.000000,1\n"
+        f"{row}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValidationError, match="^baseline CSV row 3: malformed values$"):
+        read_baselines(path)

@@ -347,3 +347,11 @@ def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
                     if line.startswith("import time:")}
         assert "citnorm.cli" in imported
         assert "numpy" not in imported, f"{argv[0]} imported numpy"
+
+
+def test_deeply_nested_config_is_one_line_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG).replace('"seed": 11', '"seed": ' + "[" * 100_000))
+    code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "c.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: malformed config JSON: nesting too deep\n"

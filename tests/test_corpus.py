@@ -1,7 +1,9 @@
 """Corpus model, JSON Lines ingestion, and validation errors."""
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import re
 
 import pytest
@@ -154,6 +156,18 @@ class TestParse:
                            match=f"^line 2: publication P2: citations_by_year {message}$"):
             parse_corpus(path, census_year=2010, first_year=2000)
 
+    @pytest.mark.parametrize("counts", [{"2008": 1, "2009": 3, "2010": 5},
+                                        {"2010": 1, "2011": 3, "2012": 5}],
+                             ids=["starts-early", "starts-late"])
+    def test_counts_must_start_at_the_publication_year(self, tmp_path, counts):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P1", pub_year=2009, citations_total=5,
+                                  citations_by_year=counts)])
+        census = max(map(int, counts))
+        with pytest.raises(ValidationError, match=f"^line 1: publication P1: citations_by_year "
+                                                  f"must cover every year from 2009 to {census}"):
+            parse_corpus(path)
+
     def test_out_of_order_lines_are_sorted(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P3"), record("P1"), record("P2")])
@@ -279,6 +293,19 @@ def test_round_trip_fixed(tmp_path):
     write_corpus(corpus, path)
     again = parse_corpus(path, census_year=2010, first_year=2000)
     assert again == corpus
+
+
+def test_corpus_pickles_and_copies(tmp_path):
+    built = make_corpus([make_pub("P2", year=2009, citations=3, by_year={2009: 1, 2010: 3}),
+                         make_pub("P1", units=())])
+    write_corpus(built, tmp_path / "corpus.jsonl")
+    parsed = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    iterated = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    assert len(iterated.publications) == 2
+    for corpus in (built, parsed, iterated):
+        for again in (pickle.loads(pickle.dumps(corpus)), copy.copy(corpus),
+                      copy.deepcopy(corpus)):
+            assert again == corpus and again.publications == built.publications
 
 
 ids = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6)

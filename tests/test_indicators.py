@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citnorm.baseline import BaselineCell, BaselineTable, compute_baselines
-from citnorm.corpus import select_unit
+from citnorm.corpus import parse_corpus, select_unit, write_corpus
 from citnorm.errors import ValidationError
 from citnorm.indicators import (
     ScoredPublication,
@@ -188,6 +188,35 @@ class TestScoreUnit:
         assert (score.n_total, score.n_mncs2) == (1, 1)
         assert score.mncs1 == 4 / 3
         assert score_units(corpus, table, ["A", "A"]) == [score]
+
+    def test_repeated_unit_id_is_written_back_and_counted_once(self, tmp_path):
+        lines = [
+            '{"id":"P1","unit_ids":["A","A"],"field_ids":["F"],"pub_year":2005,'
+            '"doc_type":"article","citations_total":4}',
+            '{"id":"P2","unit_ids":["A","B","A"],"field_ids":["F"],"pub_year":2008,'
+            '"doc_type":"article","citations_total":3,'
+            '"citations_by_year":{"2008":0,"2009":1,"2010":3}}',
+            '{"id":"P3","unit_ids":["B"],"field_ids":["F"],"pub_year":2005,'
+            '"doc_type":"article","citations_total":2}',
+        ]
+        path, again = tmp_path / "corpus.jsonl", tmp_path / "again.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        parsed = parse_corpus(path, census_year=2010, first_year=2000)
+        write_corpus(parsed, again)
+        assert again.read_bytes() == path.read_bytes()
+        built = make_corpus([
+            make_pub("P1", field="F", year=2005, citations=4, units=("A", "A")),
+            make_pub("P2", field="F", year=2008, citations=3, units=("A", "B", "A"),
+                     by_year={2008: 0, 2009: 1, 2010: 3}),
+            make_pub("P3", field="F", year=2005, citations=2, units=("B",)),
+        ])
+        assert parsed == built
+        for corpus in (parsed, built):
+            table = compute_baselines(corpus)
+            a, b = score_units(corpus, table)
+            assert (a.unit_id, a.n_total, b.unit_id, b.n_total) == ("A", 2, "B", 2)
+            assert a.mncs1 == (4 / 3 + 3 / 3) / 2
+            assert a.cpp_fcsm == 7 / (3 + 3)
 
     def test_subset_needs_only_its_own_cells(self):
         corpus = make_corpus([
@@ -449,6 +478,28 @@ def test_read_scores_rejects_non_finite_values(tmp_path, value):
         "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\n"
         "alpha,12,10,0,1.5000,2.2500,NA\n"
         f"beta,3,3,0,{value},0.5000,0.5000\n"
+    )
+    with pytest.raises(ValidationError, match="^scores CSV row 3: malformed values$"):
+        read_scores(path)
+
+
+@pytest.mark.parametrize("row", [
+    "beta,1_0,3,0,1.0000,0.5000,0.5000",  # '_' in an integer
+    "beta,+5,3,0,1.0000,0.5000,0.5000",  # a sign on an integer
+    "beta,5,3, 0,1.0000,0.5000,0.5000",  # whitespace around an integer
+    "beta,５,3,0,1.0000,0.5000,0.5000",  # non-ASCII digits
+    "beta,05,3,0,1.0000,0.5000,0.5000",  # a padded integer
+    "beta,5,3,0,1_0.5,0.5000,0.5000",  # '_' in a real
+    "beta,5,3,0,1.0000, 0.5,0.5000",  # whitespace around a real
+    "beta,5,3,0,1.0000,0.5000,０.5",  # non-ASCII digits in a real
+])
+def test_read_scores_rejects_coerced_numerals(tmp_path, row):
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\n"
+        "alpha,12,10,0,1.5000,2.2500,NA\n"
+        f"{row}\n",
+        encoding="utf-8",
     )
     with pytest.raises(ValidationError, match="^scores CSV row 3: malformed values$"):
         read_scores(path)

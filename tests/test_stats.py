@@ -90,6 +90,14 @@ class TestPearson:
             with pytest.raises(ValidationError, match="non-finite"):
                 correlate(x, y)
 
+    def test_pearson_rejects_an_integer_beyond_float_range(self):
+        with pytest.raises(ValidationError, match="^cannot correlate values beyond float range$"):
+            pearson([10 ** 400, 1, 2], [1, 2, 3])
+
+    def test_spearman_rejects_an_integer_beyond_float_range(self):
+        with pytest.raises(ValidationError, match="^cannot correlate values beyond float range$"):
+            spearman([1, 2, 3], [3, -10 ** 400, 1])
+
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_magnitudes_keep_their_value(self, scale):
         x = [1 * scale, 2 * scale, 3 * scale]
