@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import Corpus, Publication
 from .errors import ValidationError
@@ -112,29 +114,46 @@ def _csv_real(text: str) -> float:
     return float(text)
 
 
+def _csv_rows(path: str | Path, what: str) -> Iterator[list[str]]:
+    """The rows of a UTF-8 CSV file; a row that the csv module or UTF-8 rejects is a
+    one-line error naming it. ``surrogateescape`` turns a byte that is not UTF-8 into a
+    lone surrogate, which no valid row holds."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        rows = csv.reader(handle)
+        for row_no in count(1):
+            try:
+                row = next(rows)
+                ",".join(row).encode("utf-8")
+            except StopIteration:
+                return
+            except (csv.Error, UnicodeEncodeError) as exc:  # csv: e.g. an unclosed quote
+                fault = "not valid UTF-8" if isinstance(exc, UnicodeError) else exc
+                raise ValidationError(f"{what} CSV row {row_no}: {fault}") from None
+            yield row
+
+
 def read_baselines(path: str | Path) -> BaselineTable:
     """Load a CSV baseline export (means carry 6 decimal places)."""
     cells: dict[tuple[str, int], BaselineCell] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ValidationError(f"bad baseline CSV header: {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValidationError(f"baseline CSV row {row_no}: expected 4 columns")
-            fid, year_s, mean_s, size_s = row
-            try:
-                year = _csv_int(year_s)
-                mean = _csv_real(mean_s)
-                size = _csv_int(size_s)
-            except ValueError:
-                raise ValidationError(f"baseline CSV row {row_no}: malformed values") from None
-            if not (math.isfinite(mean) and mean >= 0) or size < 1:
-                raise ValidationError(f"baseline CSV row {row_no}: invalid cell")
-            if (fid, year) in cells:
-                raise ValidationError(f"baseline CSV row {row_no}: duplicate cell ({fid}, {year})")
-            cells[(fid, year)] = BaselineCell(mean_citations=mean, cell_size=size)
+    rows = _csv_rows(path, "baseline")
+    header = next(rows, None)
+    if header != _CSV_HEADER:
+        raise ValidationError(f"bad baseline CSV header: {header}")
+    for row_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValidationError(f"baseline CSV row {row_no}: expected 4 columns")
+        fid, year_s, mean_s, size_s = row
+        try:
+            year = _csv_int(year_s)
+            mean = _csv_real(mean_s)
+            size = _csv_int(size_s)
+        except ValueError:
+            raise ValidationError(f"baseline CSV row {row_no}: malformed values") from None
+        if not (math.isfinite(mean) and mean >= 0) or size < 1:
+            raise ValidationError(f"baseline CSV row {row_no}: invalid cell")
+        if (fid, year) in cells:
+            raise ValidationError(f"baseline CSV row {row_no}: duplicate cell ({fid}, {year})")
+        cells[(fid, year)] = BaselineCell(mean_citations=mean, cell_size=size)
     return BaselineTable(cells=cells)

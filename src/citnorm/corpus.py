@@ -22,9 +22,17 @@ Publication file format (JSON Lines, UTF-8, one object per line):
 Integers are JSON integers: true and false are rejected, never read as 1 and 0.
 A ``citations_by_year`` key is a year as ``str(int(key))`` writes it: ``" 2008"``
 or ``"02008"`` is rejected, not read as 2008. Unknown keys are rejected by name.
-:func:`parse_corpus` reads a file once; the census year, when not given, is the
-largest year the records carry. Publications are kept in ascending id order
-everywhere, so downstream floating-point summations are bit-reproducible.
+Publications are kept in ascending id order everywhere, so downstream
+floating-point summations are bit-reproducible.
+
+:func:`parse_corpus` reads a file once and takes every record through one
+ordered pass of checks, the first fault ending the read with its line number:
+the line's UTF-8 and JSON; the raw record's shape (an object, unknown keys,
+missing keys, array id lists, a string ``doc_type``, the by-year object and
+its keys); the values, through the same two checks that :class:`Publication`
+makes (:func:`_check_ids`, :func:`_check_counts`); the id's uniqueness. Once
+all lines are read and the census year is known (when not given, the largest
+year the records carry), each record's span and by-year coverage are checked.
 
 A :class:`Corpus` stores one column per fact (ids, years, totals, document
 types, unit and field id tuples, and one by-year row per publication), not
@@ -41,12 +49,11 @@ import json
 import sys
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import add, attrgetter, le, lt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -55,6 +62,7 @@ _REQUIRED = frozenset(_REQUIRED_KEYS)
 _ALL_KEYS = _REQUIRED | {"citations_by_year"}
 # Largest integer a float64 holds exactly; indicator arithmetic converts counts to float.
 _MAX_CITATIONS = 2 ** 53 - 1
+_INT_ONLY = frozenset({int})
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,57 +87,75 @@ class Publication:
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_ids", tuple(self.unit_ids))
         object.__setattr__(self, "field_ids", tuple(self.field_ids))
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError("publication id must be a non-empty string")
-        if not self.field_ids:
-            raise ValidationError(f"publication {self.id}: field_ids must be non-empty")
-        for fid in self.field_ids:
-            if not isinstance(fid, str) or not fid:
-                raise ValidationError(f"publication {self.id}: empty field id")
-        # a repeated field would count the publication twice in its own cell
-        if len(self.field_ids) > 1 and len(set(self.field_ids)) < len(self.field_ids):
-            repeated = next(f for i, f in enumerate(self.field_ids) if f in self.field_ids[:i])
-            raise ValidationError(f"publication {self.id}: field_ids repeats '{repeated}'")
-        for uid in self.unit_ids:
-            if not isinstance(uid, str) or not uid:
-                raise ValidationError(f"publication {self.id}: empty unit id")
-        # type(), not isinstance(): bool is an int subclass, and a JSON true is no count
-        if type(self.pub_year) is not int:
-            raise ValidationError(f"publication {self.id}: pub_year must be an integer")
-        total = self.citations_total
-        if type(total) is not int:
-            raise ValidationError(f"publication {self.id}: citations_total must be an integer")
-        if total < 0:
-            raise ValidationError(f"publication {self.id}: negative citation count")
-        if total > _MAX_CITATIONS:
-            raise ValidationError(f"publication {self.id}: citations_total exceeds 2**53 - 1")
+        _check_ids(self.id, self.field_ids, self.unit_ids)
         counts = self.citations_by_year
+        years = None
         if counts is not None:
             try:
                 years = sorted(counts)
-            except TypeError:  # mixed key types; the loop below names the first non-int
+            except TypeError:  # mixed key types; the check below names the first non-int
                 years = list(counts)
-            previous = 0
-            for year in years:
-                count = counts[year]
-                if type(year) is not int or type(count) is not int or count < previous:
-                    raise ValidationError(f"publication {self.id}: {_count_fault(year, count)}")
-                previous = count
+            # a year that is no int gets the count None, which fails there and names the year
+            counts = [counts[year] if type(year) is int else None for year in years]
+        _check_counts(self.id, self.pub_year, self.citations_total, years, counts)
+
+
+def _check_ids(pid, fields: Sequence, units: Sequence) -> None:
+    """Raise the first fault of a publication id and its field and unit id lists."""
+    if not isinstance(pid, str) or not pid:
+        raise ValidationError("publication id must be a non-empty string")
+    if not fields:
+        raise ValidationError(f"publication {pid}: field_ids must be non-empty")
+    for fid in fields:
+        if not isinstance(fid, str) or not fid:
+            raise ValidationError(f"publication {pid}: empty field id")
+    # a repeated field would count the publication twice in its own cell
+    if len(set(fields)) < len(fields):
+        repeated = next(f for i, f in enumerate(fields) if f in fields[:i])
+        raise ValidationError(f"publication {pid}: field_ids repeats '{repeated}'")
+    for uid in units:
+        if not isinstance(uid, str) or not uid:
+            raise ValidationError(f"publication {pid}: empty unit id")
+
+
+def _check_counts(pid: str, year, total, years: Sequence | None,
+                  counts: Sequence | None) -> None:
+    """Raise the first fault of a publication's year, citation total and by-year counts.
+
+    ``counts`` are the ``citations_by_year`` values in the order of ``years``,
+    ascending; both are None when the publication has no by-year counts.
+    """
+    # type(), not isinstance(): bool is an int subclass, and a JSON true is no count
+    if type(year) is not int:
+        raise ValidationError(f"publication {pid}: pub_year must be an integer")
+    if type(total) is not int:
+        raise ValidationError(f"publication {pid}: citations_total must be an integer")
+    if total < 0:
+        raise ValidationError(f"publication {pid}: negative citation count")
+    if total > _MAX_CITATIONS:
+        raise ValidationError(f"publication {pid}: citations_total exceeds 2**53 - 1")
+    if counts and not (_INT_ONLY.issuperset(map(type, counts)) and counts[0] >= 0
+                       and all(map(le, counts, counts[1:]))):
+        previous = 0
+        for year, count in zip(years, counts):  # find the first entry at fault
+            if type(year) is not int:
+                raise ValidationError(
+                    f"publication {pid}: citations_by_year year {year!r} must be an integer")
+            if type(count) is not int:
+                raise ValidationError(
+                    f"publication {pid}: citations_by_year value for {year} must be an integer")
+            if count < 0:
+                raise ValidationError(f"publication {pid}: negative citation count")
+            if count < previous:
+                raise ValidationError(
+                    f"publication {pid}: non-monotone citations_by_year at {year}")
+            previous = count
 
 
 # Publication's slot descriptors in field order. The materializer fills one
 # column at a time through them: what object.__setattr__ does for a slot,
 # minus the attribute lookup per call.
 _SLOT_SETTERS = tuple(Publication.__dict__[name].__set__ for name in Publication.__slots__)
-
-
-def _count_fault(year, count) -> str:
-    """What is wrong with a citations_by_year entry that failed the checks."""
-    if type(year) is not int:
-        return f"citations_by_year year {year!r} must be an integer"
-    if type(count) is not int:
-        return f"citations_by_year value for {year} must be an integer"
-    return "negative citation count" if count < 0 else f"non-monotone citations_by_year at {year}"
 
 
 def _row(counts: dict[int, int] | None, year: int) -> tuple[int, ...] | None:
@@ -191,6 +217,7 @@ class Corpus:
     use. Building the :class:`Publication` tuple (``publications``, iteration)
     releases the columns, so a corpus read as publications does not hold every
     fact twice; columns asked for afterwards are rebuilt from the publications.
+    Comparing and pickling build columns they need without keeping them.
     Safe for concurrent read access once constructed.
     """
 
@@ -237,13 +264,14 @@ class Corpus:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.census_year, self.first_year, self._column_tuples())
-                == (other.census_year, other.first_year, other._column_tuples()))
+        return ((self.census_year, self.first_year, self._columns_or_built())
+                == (other.census_year, other.first_year, other._columns_or_built()))
 
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):  # copy and pickle rebuild through the columns, not __setattr__
-        return Corpus._from_columns, (self.census_year, self.first_year, *self._column_tuples())
+        return Corpus._from_columns, (self.census_year, self.first_year,
+                                      *self._columns_or_built())
 
     def __len__(self) -> int:
         pubs = self._publications
@@ -263,13 +291,18 @@ class Corpus:
         return pubs
 
     def _column_tuples(self) -> tuple[tuple, ...]:
-        columns = self._columns
-        if columns is None:
-            pubs = self._publications
-            columns = tuple(tuple(map(attrgetter(attr), pubs)) for attr in _COLUMN_ATTRS[:6])
-            columns += (tuple(_row(pub.citations_by_year, pub.pub_year) for pub in pubs),)
-            object.__setattr__(self, "_columns", columns)
-        return columns
+        """The columns; built from the publications if not held, and then held."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", self._columns_or_built())
+        return self._columns
+
+    def _columns_or_built(self) -> tuple[tuple, ...]:
+        """The columns, built from the publications (and not held) if not held."""
+        if self._columns is not None:
+            return self._columns
+        pubs = self._publications
+        columns = tuple(tuple(map(attrgetter(attr), pubs)) for attr in _COLUMN_ATTRS[:6])
+        return columns + (tuple(_row(pub.citations_by_year, pub.pub_year) for pub in pubs),)
 
     def _publications_at(self, indices: Sequence[int]) -> list[Publication]:
         """The publications at ``indices``, without building the others."""
@@ -327,147 +360,93 @@ def select_cohort(corpus: Corpus, field_id: str, pub_year: int) -> list[Publicat
     ])
 
 
-def _year(key: str) -> int | None:
-    """The year ``key`` names if it is written as ``str(int(key))`` writes it, else None."""
-    try:
-        year = int(key)
-    except ValueError:
-        return None
-    return year if str(year) == key else None
-
-
-def _publication_from_obj(obj: dict, line_no: int,
-                          year_of: Callable[[str], int | None]) -> Publication:
-    """Checks that need the raw JSON object; :class:`Publication` checks the values."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"line {line_no}: expected a JSON object")
-    if not _ALL_KEYS.issuperset(obj):
-        unknown = next(key for key in obj if key not in _ALL_KEYS)
-        raise ValidationError(f"line {line_no}: unknown key '{unknown}'")
-    if not obj.keys() >= _REQUIRED:
-        missing = next(key for key in _REQUIRED_KEYS if key not in obj)
-        raise ValidationError(f"line {line_no}: missing key '{missing}'")
-    if not isinstance(obj["unit_ids"], list) or not isinstance(obj["field_ids"], list):
-        raise ValidationError(f"line {line_no}: unit_ids and field_ids must be arrays")
-    if not isinstance(obj["doc_type"], str):
-        raise ValidationError(f"line {line_no}: doc_type must be a string")
-
-    counts = obj.get("citations_by_year")
-    if counts is not None:
-        if not isinstance(counts, dict):
-            raise ValidationError(f"line {line_no}: citations_by_year must be an object")
-        years = list(map(year_of, counts))
-        if None in years:
-            bad = next(key for key, year in zip(counts, years) if year is None)
-            raise ValidationError(f"line {line_no}: citations_by_year key '{bad}' is not a year")
-        # canonical keys are distinct years, so no two of them can collapse into one
-        counts = dict(zip(years, counts.values()))
-
-    try:
-        return Publication(
-            id=obj["id"],
-            unit_ids=obj["unit_ids"],
-            field_ids=obj["field_ids"],
-            pub_year=obj["pub_year"],
-            doc_type=obj["doc_type"],
-            citations_total=obj["citations_total"],
-            citations_by_year=counts,
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"line {line_no}: {exc}") from None
-
-
 class _RecordReader:
-    """Column values of the JSON records of one file, each record checked once.
+    """Column values of the records of one file, each checked once in the module's order.
 
-    The common record is read without building a :class:`Publication`: its
-    keys are known, its values have the documented JSON types, its unit and
-    field id lists have been seen and checked before (each distinct list is
-    kept as one tuple, shared by every record that lists it), and its by-year
-    keys are canonical consecutive years from its publication year on, in
-    ascending order. Any other record goes through
-    :func:`_publication_from_obj`, which reports the first fault in the
-    documented order or returns the record if it has none.
+    :meth:`read` raises a record's first fault. What repeats across records is
+    done once per file: each distinct unit or field id list is checked once and
+    kept as one tuple shared by every record that lists it, each distinct
+    sequence of by-year keys is read once, and each ``doc_type`` string is kept once.
     """
 
-    _INT_ONLY = frozenset({int})
+    __slots__ = ("field_lists", "unit_lists", "key_years", "doc_types", "ids", "records")
 
     def __init__(self) -> None:
-        self.year_of = lru_cache(maxsize=None)(_year)  # a file repeats a few dozen year keys
-        self.unit_tuples: dict[tuple, tuple[str, ...]] = {}
-        self.field_tuples: dict[tuple, tuple[str, ...]] = {}
+        self.field_lists: dict[tuple, tuple[str, ...]] = {}
+        self.unit_lists: dict[tuple, tuple[str, ...]] = {}
+        self.key_years: dict[tuple[str, ...], tuple] = {}
         self.doc_types: dict[str, str] = {}
-        self.run_starts: dict[tuple[str, ...], int | None] = {}
-        self.latest_key: int | None = None  # largest by-year key of a record read here
+        self.ids: set[str] = set()
+        # (id, pub_year, citations_total, doc_type, unit_ids, field_ids, by-year row)
+        self.records: list[tuple] = []
 
-    def record(self, obj, line_no: int) -> tuple:
-        """(id, pub_year, citations_total, doc_type, unit_ids, field_ids, by-year row)."""
-        values = self._regular(obj)
-        if values is not None:
-            return values
-        pub = _publication_from_obj(obj, line_no, self.year_of)
-        row = _row(pub.citations_by_year, pub.pub_year)
-        if pub.citations_by_year:
-            latest = max(pub.citations_by_year)
-            if self.latest_key is None or latest > self.latest_key:
-                self.latest_key = latest
-        return (pub.id, pub.pub_year, pub.citations_total, pub.doc_type, pub.unit_ids,
-                pub.field_ids, row)
-
-    def _regular(self, obj) -> tuple | None:
-        """The record's column values if it is a common one (see the class), else None."""
-        if type(obj) is not dict or not _ALL_KEYS.issuperset(obj):
-            return None
+    def read(self, obj) -> None:
+        """Check one decoded record and keep its column values, or raise its first fault."""
+        if type(obj) is not dict:
+            raise ValidationError("expected a JSON object")
+        if not _ALL_KEYS.issuperset(obj):
+            unknown = next(key for key in obj if key not in _ALL_KEYS)
+            raise ValidationError(f"unknown key '{unknown}'")
         try:
             pid, units, fields = obj["id"], obj["unit_ids"], obj["field_ids"]
             year, doc_type, total = obj["pub_year"], obj["doc_type"], obj["citations_total"]
         except KeyError:
-            return None
-        if not (type(pid) is str and pid and type(units) is list and type(fields) is list
-                and type(year) is int and type(doc_type) is str and type(total) is int
-                and 0 <= total <= _MAX_CITATIONS):
-            return None
-        try:
-            unit_ids = self.unit_tuples.get(tuple(units)) or self._new_ids(units, self.unit_tuples)
-            field_ids = (self.field_tuples.get(tuple(fields))
-                         or self._new_ids(fields, self.field_tuples))
-        except TypeError:  # an unhashable element, which is no id
-            return None
-        if unit_ids is None or field_ids is None:
-            return None
+            missing = next(key for key in _REQUIRED_KEYS if key not in obj)
+            raise ValidationError(f"missing key '{missing}'") from None
+        if type(units) is not list or type(fields) is not list:
+            raise ValidationError("unit_ids and field_ids must be arrays")
+        if type(doc_type) is not str:
+            raise ValidationError("doc_type must be a string")
+        years = row = start = None
         counts = obj.get("citations_by_year")
-        if counts is None:
-            row = None
-        elif type(counts) is dict and self._run_start(tuple(counts)) == year:
+        if counts is not None:
+            if type(counts) is not dict:
+                raise ValidationError("citations_by_year must be an object")
+            keys = tuple(counts)
+            years, order, start = self.key_years.get(keys) or self._years(keys)
             row = tuple(counts.values())
-            if not ({*map(type, row)} == self._INT_ONLY and row[0] >= 0
-                    and all(map(le, row, row[1:]))):
-                return None
-        else:
-            return None
-        doc_type = self.doc_types.setdefault(doc_type, doc_type)
-        return pid, year, total, doc_type, unit_ids, field_ids, row
+            if order is not None:
+                row = tuple(map(row.__getitem__, order))
+        try:  # a list seen before was checked then
+            field_ids, unit_ids = self.field_lists[tuple(fields)], self.unit_lists[tuple(units)]
+        except (KeyError, TypeError):  # a new list, or one holding an unhashable value
+            field_ids = None
+        if field_ids is None or type(pid) is not str or not pid:
+            _check_ids(pid, fields, units)
+            field_ids = self.field_lists.setdefault(tuple(fields), tuple(fields))
+            unit_ids = self.unit_lists.setdefault(tuple(units), tuple(units))
+        _check_counts(pid, year, total, years, row)
+        if pid in self.ids:
+            raise ValidationError(f"duplicate id {pid}")
+        self.ids.add(pid)
+        if row is not None and start != year:
+            row = ()  # the keys are no run of years from pub_year: the row covers no span
+        self.records.append((pid, year, total, self.doc_types.setdefault(doc_type, doc_type),
+                             unit_ids, field_ids, row))
 
-    def _new_ids(self, values: list, known: dict) -> tuple[str, ...] | None:
-        """``values`` as a tuple kept in ``known``, if they are valid unit or field ids."""
-        ids = tuple(values)
-        if not all(type(i) is str and i for i in ids) or (
-                known is self.field_tuples and not (ids and len(set(ids)) == len(ids))):
-            return None
-        known[ids] = ids
-        return ids
+    def _years(self, keys: tuple[str, ...]) -> tuple:
+        """The years that by-year ``keys`` name, ascending; the order that sorts the values
+        (None if sorted); and the first year if the years run without a gap, else None."""
+        years = []
+        for key in keys:
+            try:
+                year = int(key)
+            except ValueError:
+                year = None
+            if year is None or str(year) != key:  # " 2008", "02008" and "2_008" are no years
+                raise ValidationError(f"citations_by_year key '{key}' is not a year")
+            years.append(year)
+        order = sorted(range(len(years)), key=years.__getitem__)
+        ascending = tuple(map(years.__getitem__, order))
+        # canonical keys are distinct years, so a gapless run spans exactly len(keys) years
+        start = ascending[0] if years and ascending[-1] - ascending[0] == len(years) - 1 else None
+        found = self.key_years[keys] = (ascending, None if ascending == tuple(years) else order,
+                                        start)
+        return found
 
-    def _run_start(self, keys: tuple[str, ...]) -> int | None:
-        """The first year of ``keys`` if they are canonical consecutive ascending years."""
-        if keys not in self.run_starts:
-            years = list(map(self.year_of, keys))
-            self.run_starts[keys] = years[0] if years and None not in years and years == list(
-                range(years[0], years[0] + len(years))) else None
-        return self.run_starts[keys]
 
-
-def _json_line(line: str, line_no: int):
-    """``json.loads`` of one line, its faults as line-numbered :class:`ValidationError`.
+def _json_line(line: str):
+    """``json.loads`` of one line, its faults as :class:`ValidationError`.
 
     The file is decoded with ``surrogateescape``, so a byte that is not UTF-8
     arrives here as a lone surrogate, which no valid line holds.
@@ -476,54 +455,48 @@ def _json_line(line: str, line_no: int):
         try:
             line.encode("utf-8")
         except UnicodeEncodeError:
-            raise ValidationError(f"line {line_no}: not valid UTF-8") from None
+            raise ValidationError("not valid UTF-8") from None
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"line {line_no}: malformed JSON: {exc.msg}") from None
+        raise ValidationError(f"malformed JSON: {exc.msg}") from None
     except RecursionError:
-        raise ValidationError(f"line {line_no}: malformed JSON: nesting too deep") from None
+        raise ValidationError("malformed JSON: nesting too deep") from None
     except ValueError:  # the only other fault: an integer literal beyond int's digit limit
         raise ValidationError(
-            f"line {line_no}: integer literal longer than {sys.get_int_max_str_digits()} digits"
-        ) from None
+            f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_corpus(path: str | Path, census_year: int | None = None,
                  first_year: int | None = None) -> Corpus:
     """Parse a JSON Lines publication file into a validated :class:`Corpus`.
 
-    The file is read once, into columns; no :class:`Publication` is built for
-    a well-formed record. ``census_year`` defaults to the largest year the
-    records carry, as ``pub_year`` or as a ``citations_by_year`` key;
-    ``first_year`` defaults to the earliest ``pub_year``. A record's own faults
-    are reported as its line is read, its span and by-year coverage after the
-    read, once the census year is known. Every error names its line.
+    The file is read once, into columns; no :class:`Publication` is built.
+    ``census_year`` defaults to the largest year the records carry, as
+    ``pub_year`` or as a ``citations_by_year`` key; ``first_year`` defaults
+    to the earliest ``pub_year``. A record's own faults are reported as its
+    line is read, its span and by-year coverage after the read, once the
+    census year is known. Every error names its line.
     """
     reader = _RecordReader()
-    records: list[tuple] = []
     line_nos: list[int] = []
-    seen_ids: set[str] = set()
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = reader.record(_json_line(line, line_no), line_no)
-            pid = record[0]
-            if pid in seen_ids:
-                raise ValidationError(f"line {line_no}: duplicate id {pid}")
-            seen_ids.add(pid)
-            records.append(record)
+            try:
+                reader.read(_json_line(line))
+            except ValidationError as exc:
+                raise ValidationError(f"line {line_no}: {exc}") from None
             line_nos.append(line_no)
-    columns = tuple(zip(*records)) or ((),) * 7
-    del records
+    columns = tuple(zip(*reader.records)) or ((),) * 7
+    del reader.records
     ids, years, totals, _, _, _, rows = columns
     if census_year is None:
         if not ids:
             raise ValidationError(f"cannot infer a census year from {path}")
-        census_year = max(year + len(row) - 1 if row else year for year, row in zip(years, rows))
-        if reader.latest_key is not None:  # a misaligned row's keys may run past its end
-            census_year = max(census_year, reader.latest_key)
+        census_year = max(chain(years, (keys[-1] for keys, _, _ in reader.key_years.values()
+                                        if keys)))
     if first_year is None:
         first_year = min(years, default=census_year)
     for line_no, pid, year, total, row in zip(line_nos, ids, years, totals, rows):

@@ -29,7 +29,8 @@ from operator import add, attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .baseline import BaselineTable, _csv_int, _csv_real, _expected, expected_citations
+from .baseline import (BaselineTable, _csv_int, _csv_real, _csv_rows, _expected,
+                       expected_citations)
 from .corpus import Corpus, Publication
 from .errors import ValidationError
 
@@ -303,26 +304,25 @@ def _parse_value(text: str) -> float | None:
 def read_scores(path: str | Path) -> list[UnitScore]:
     """Load a scores CSV written by :func:`write_scores`."""
     scores: list[UnitScore] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _SCORES_HEADER:
-            raise ValidationError(f"bad scores CSV header: {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_SCORES_HEADER):
-                raise ValidationError(f"scores CSV row {row_no}: wrong column count")
-            try:
-                scores.append(UnitScore(
-                    unit_id=row[0],
-                    n_total=_csv_int(row[1]),
-                    n_mncs2=_csv_int(row[2]),
-                    n_excluded_zero_e=_csv_int(row[3]),
-                    cpp_fcsm=_parse_value(row[4]),
-                    mncs1=_parse_value(row[5]),
-                    mncs2=_parse_value(row[6]),
-                ))
-            except ValueError:
-                raise ValidationError(f"scores CSV row {row_no}: malformed values") from None
+    rows = _csv_rows(path, "scores")
+    header = next(rows, None)
+    if header != _SCORES_HEADER:
+        raise ValidationError(f"bad scores CSV header: {header}")
+    for row_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(_SCORES_HEADER):
+            raise ValidationError(f"scores CSV row {row_no}: wrong column count")
+        try:
+            scores.append(UnitScore(
+                unit_id=row[0],
+                n_total=_csv_int(row[1]),
+                n_mncs2=_csv_int(row[2]),
+                n_excluded_zero_e=_csv_int(row[3]),
+                cpp_fcsm=_parse_value(row[4]),
+                mncs1=_parse_value(row[5]),
+                mncs2=_parse_value(row[6]),
+            ))
+        except ValueError:
+            raise ValidationError(f"scores CSV row {row_no}: malformed values") from None
     return scores

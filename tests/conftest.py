@@ -1,10 +1,18 @@
-"""Shared fixtures: the golden 15-publication research group and corpus builders."""
+"""Shared fixtures: the Hypothesis profile, the golden 15-publication research group and
+corpus builders."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from citnorm.corpus import Corpus, Publication
 from citnorm.indicators import ScoredPublication
+
+# Every run prints a @reproduce_failure blob with a falsifying example, so a
+# failure in a CI log, including one raised while drawing the example, can be
+# replayed locally. Loaded here, before the test modules build their settings.
+settings.register_profile("citnorm", print_blob=True)
+settings.load_profile("citnorm")
 
 # A real research group of 15 publications with hand-checked indicator values:
 # (pub_year, citations, expected citations, published normalized score).

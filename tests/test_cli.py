@@ -355,3 +355,39 @@ def test_deeply_nested_config_is_one_line_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "c.jsonl")])
     assert code == 1
     assert capsys.readouterr().err == "error: malformed config JSON: nesting too deep\n"
+
+
+SCORES_CSV = (b"unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\n"
+              b"u1,3,3,0,1.2000,1.1000,0.9000\nu2,2,2,0,NA,0.8000,0.8000\n")
+BASELINES_CSV = b"field_id,pub_year,mean_citations,cell_size\nf1,2005,1.500000,2\n"
+CSV_COMMANDS = {
+    "rank": ["rank", "--scores", "{scores}", "--by", "mncs1", "--top", "2"],
+    "correlate": ["correlate", "--scores", "{scores}", "--out", "{out}"],
+    "plot": ["plot", "--scores", "{scores}", "--x", "mncs1", "--y", "mncs2", "--out", "{out}"],
+    "score --baselines": ["score", "--corpus", "{corpus}", "--census", "2009", "--units", "all",
+                          "--baselines", "{baselines}", "--out", "{out}"],
+}
+
+
+def _csv_command(tmp_path, command: str, scores: bytes, baselines: bytes) -> list[str]:
+    paths = {"scores": tmp_path / "scores.csv", "baselines": tmp_path / "baselines.csv",
+             "corpus": tmp_path / "corpus.jsonl", "out": tmp_path / "out"}
+    paths["scores"].write_bytes(scores)
+    paths["baselines"].write_bytes(baselines)
+    paths["corpus"].write_text(json.dumps({
+        "id": "P1", "unit_ids": ["u1"], "field_ids": ["f1"], "pub_year": 2005,
+        "doc_type": "article", "citations_total": 2}) + "\n", encoding="utf-8")
+    return [arg.format(**paths) for arg in CSV_COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+@pytest.mark.parametrize("bad, message", [
+    (b"\xff", "not valid UTF-8"),
+    (b'"' + b"y" * 200_000, "field larger than field limit (131072)"),  # an unclosed quote
+], ids=["not-utf8", "field-limit"])
+def test_csv_row_the_reader_rejects_is_one_line_error(tmp_path, capsys, command, bad, message):
+    scores = SCORES_CSV.replace(b"\nu1,", b"\n" + bad + b"u1,")
+    baselines = BASELINES_CSV.replace(b"\nf1,", b"\n" + bad + b"f1,")
+    assert main(_csv_command(tmp_path, command, scores, baselines)) == 1
+    table = "baseline" if command == "score --baselines" else "scores"
+    assert capsys.readouterr().err.splitlines() == [f"error: {table} CSV row 2: {message}"]

@@ -9,6 +9,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import citnorm.corpus as corpus_module
+from citnorm.baseline import compute_baselines
 from citnorm.corpus import (
     Corpus,
     Publication,
@@ -18,6 +20,7 @@ from citnorm.corpus import (
     write_corpus,
 )
 from citnorm.errors import ValidationError
+from citnorm.indicators import score_units
 
 from conftest import make_corpus, make_pub
 
@@ -72,6 +75,40 @@ class TestParse:
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(record("P1")) + "\n{oops\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2"):
+            parse_corpus(path, census_year=2010, first_year=2000)
+
+    @pytest.mark.parametrize("line", ['["id"]', '"P2"', "3", "null", "[]"])
+    def test_line_that_is_no_object_names_its_line(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(record("P1")) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="^line 2: expected a JSON object$"):
+            parse_corpus(path, census_year=2010, first_year=2000)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"unit_ids": "u1"}, "unit_ids and field_ids must be arrays"),
+        ({"field_ids": "f1"}, "unit_ids and field_ids must be arrays"),
+        ({"doc_type": 3}, "doc_type must be a string"),
+        ({"citations_by_year": [3]}, "citations_by_year must be an object"),
+        # the id lists are those of line 1, which were checked there
+        ({"id": ""}, "publication id must be a non-empty string"),
+        ({"id": 3}, "publication id must be a non-empty string"),
+        ({"field_ids": ["f1", ""]}, "publication P2: empty field id"),
+        ({"field_ids": ["f1", 3]}, "publication P2: empty field id"),
+        ({"unit_ids": ["u1", ""]}, "publication P2: empty unit id"),
+        ({"unit_ids": ["u1", 3]}, "publication P2: empty unit id"),
+        ({"citations_by_year": {"2005": -1, "2006": 0, "2007": 3}},
+         "publication P2: negative citation count"),
+        ({"citations_by_year": {"2005": 1, "2006": -1, "2007": 3}},
+         "publication P2: negative citation count"),
+        # as many keys as years to the census, but with a gap, and one key past the census
+        ({"citations_by_year": {"2005": 1, "2006": 1, "2007": 2, "2009": 2, "2010": 3,
+                                "2011": 3}},
+         "publication P2: citations_by_year must cover every year from 2005 to 2010 with no gaps"),
+    ])
+    def test_record_faults_name_their_line(self, tmp_path, overrides, message):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P1"), record("P2", **overrides)])
+        with pytest.raises(ValidationError, match=f"^line 2: {message}$"):
             parse_corpus(path, census_year=2010, first_year=2000)
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
@@ -306,6 +343,27 @@ def test_corpus_pickles_and_copies(tmp_path):
         for again in (pickle.loads(pickle.dumps(corpus)), copy.copy(corpus),
                       copy.deepcopy(corpus)):
             assert again == corpus and again.publications == built.publications
+
+
+
+def test_comparing_a_corpus_keeps_one_representation(tmp_path, monkeypatch):
+    pubs = [make_pub(f"P{i}", year=2008, citations=i, by_year={2008: 0, 2009: i, 2010: i})
+            for i in range(5)]
+    write_corpus(make_corpus(pubs), tmp_path / "corpus.jsonl")
+    read = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    iterated = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    assert len(iterated.publications) == 5 and iterated._columns is None
+    for corpus in (iterated, make_corpus(pubs)):
+        assert corpus == read and read == corpus
+        pickle.dumps(corpus)
+        assert corpus._columns is None, "a comparison or a pickle kept the columns"
+    assert read._publications is None, "a comparison built the publications"
+    # scoring a corpus built from publications derives its columns once, and then holds them
+    built, rows, row = make_corpus(pubs), [], corpus_module._row
+    monkeypatch.setattr(corpus_module, "_row", lambda *args: rows.append(args) or row(*args))
+    table = compute_baselines(built)
+    score_units(built, table, ["u1"])
+    assert len(rows) == len(pubs)
 
 
 ids = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6)

@@ -259,8 +259,8 @@ def drawn_records(draw, fault: str) -> dict:
             counts.update(items)
         elif kind == "misaligned":
             obj["pub_year"] = year + draw(st.sampled_from([-1, 1]))
-        elif kind == "total off":
-            obj["citations_total"] = obj.get("citations_total", 0) + 1
+        elif kind == "total off" and type(obj.get("citations_total", 0)) is int:
+            obj["citations_total"] = obj.get("citations_total", 0) + 1  # an odd value stays odd
     return obj
 
 
@@ -299,3 +299,7 @@ def test_undecodable_lines_are_one_line_errors(tmp_path, capsys, line, message):
     assert main(["trajectory", "--corpus", str(path), "--field", "f1", "--pub-year", "2009",
                  "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fuzz_failures_print_a_reproduction_blob():
+    assert settings(max_examples=20, deadline=None).print_blob  # built as the tests above
