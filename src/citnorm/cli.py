@@ -16,6 +16,11 @@ from . import baseline, corpus, indicators, report, stats
 from .errors import ValidationError
 
 
+# The characters str.splitlines breaks a line at, each mapped to its escape,
+# so an error naming a user's string stays one line
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 class _UsageError(Exception):
     pass
 
@@ -159,10 +164,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _run(args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 1
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -36,11 +36,12 @@ year the records carry), each record's span and by-year coverage are checked.
 
 A :class:`Corpus` stores one column per fact (ids, years, totals, document
 types, unit and field id tuples, and one by-year row per publication), not
-one object per record. :func:`parse_corpus` and the simulator fill the
-columns directly; writing, baselines, scoring and the selections below read
-them. :class:`Publication` objects are built only where a caller asks for
-them: ``corpus.publications`` and iteration build the whole tuple once, on
-first use, and :func:`select_unit` and :func:`select_cohort` build only the
+one object per record, and always holds them. :func:`parse_corpus` and the
+simulator fill the columns directly; writing, baselines, scoring and the
+selections below read them. :class:`Publication` objects are built from the
+columns only where a caller asks for them: ``corpus.publications`` and
+iteration build the whole tuple once, on first use, and cache it beside the
+columns; :func:`select_unit` and :func:`select_cohort` build only the
 publications they return.
 """
 from __future__ import annotations
@@ -186,20 +187,17 @@ def _span_fault(year: int, total: int, row: tuple[int, ...] | None, first: int,
     return None
 
 
-# The Publication attribute behind each Corpus column, in column order
+# The Corpus columns, and the Publication attribute behind each, in column order
+_COLUMNS = ("ids", "pub_years", "totals", "doc_types", "units", "fields", "by_year")
 _COLUMN_ATTRS = ("id", "pub_year", "citations_total", "doc_type", "unit_ids", "field_ids",
                  "citations_by_year")
-
-
-def _column(index: int) -> property:
-    return property(lambda corpus: corpus._column_tuples()[index])
 
 
 class Corpus:
     """Validated, immutable set of publications in canonical (id) order.
 
     Citations are counted until the end of ``census_year``; every publication
-    year must fall inside [first_year, census_year]. The corpus reads as
+    year must fall inside [first_year, census_year]. The corpus is stored as
     columns, tuples whose i-th entries describe the publication with the i-th
     smallest id:
 
@@ -212,18 +210,15 @@ class Corpus:
         by_year     cumulative counts for each year from ``pub_year`` to
                     ``census_year``, or None when the record has none
 
-    A corpus starts from its columns (:func:`parse_corpus`, the simulator) or
-    from its publications (this constructor) and builds the other on first
-    use. Building the :class:`Publication` tuple (``publications``, iteration)
-    releases the columns, so a corpus read as publications does not hold every
-    fact twice; columns asked for afterwards are rebuilt from the publications.
-    Comparing and pickling build columns they need without keeping them.
-    Safe for concurrent read access once constructed.
+    The columns are the only stored form: :func:`parse_corpus` and the simulator
+    fill them, and this constructor derives them from the publications it checks,
+    which it does not keep. ``publications`` and iteration build the
+    :class:`Publication` tuple from the columns on first use and cache it beside
+    them; comparing, pickling and copying read only the columns. Safe for
+    concurrent read access once constructed.
     """
 
-    __slots__ = ("census_year", "first_year", "_columns", "_publications")
-
-    ids, pub_years, totals, doc_types, units, fields, by_year = map(_column, range(7))
+    __slots__ = ("census_year", "first_year", *_COLUMNS, "_publications")
 
     def __init__(self, publications: Iterable[Publication], census_year: int,
                  first_year: int) -> None:
@@ -239,20 +234,23 @@ class Corpus:
             for pid, next_id in zip(ids, ids[1:]):
                 if pid == next_id:
                     raise ValidationError(f"duplicate id {pid}")
+        rows = []
         for pub in pubs:
             row = _row(pub.citations_by_year, pub.pub_year)
             fault = _span_fault(pub.pub_year, pub.citations_total, row, first, census)
             if fault is not None:
                 raise ValidationError(f"publication {pub.id}: {fault}")
-        _fill(self, census, first, None, pubs)
+            rows.append(row)
+        _fill(self, census, first,
+              *(tuple(map(attrgetter(attr), pubs)) for attr in _COLUMN_ATTRS[:6]), tuple(rows))
 
     @classmethod
     def _from_columns(cls, census_year: int, first_year: int, *columns) -> Corpus:
-        """A corpus over columns (in ``_COLUMN_ATTRS`` order) that need no check: every
+        """A corpus over columns (in ``_COLUMNS`` order) that need no check: every
         record has passed the :class:`Publication` checks and the span checks, and
         the ids are strictly increasing. For :func:`parse_corpus` and the simulator."""
         corpus = object.__new__(cls)
-        _fill(corpus, census_year, first_year, tuple(map(tuple, columns)), None)
+        _fill(corpus, census_year, first_year, *map(tuple, columns))
         return corpus
 
     def __setattr__(self, name: str, value) -> None:
@@ -264,18 +262,15 @@ class Corpus:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.census_year, self.first_year, self._columns_or_built())
-                == (other.census_year, other.first_year, other._columns_or_built()))
+        return _state(self) == _state(other)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):  # copy and pickle rebuild through the columns, not __setattr__
-        return Corpus._from_columns, (self.census_year, self.first_year,
-                                      *self._columns_or_built())
+        return Corpus._from_columns, _state(self)
 
     def __len__(self) -> int:
-        pubs = self._publications
-        return len(self._column_tuples()[0] if pubs is None else pubs)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Publication]:
         return iter(self.publications)
@@ -287,37 +282,19 @@ class Corpus:
         if pubs is None:
             pubs = _materialize(self, None)
             object.__setattr__(self, "_publications", pubs)
-            object.__setattr__(self, "_columns", None)  # the publications hold every fact
         return pubs
-
-    def _column_tuples(self) -> tuple[tuple, ...]:
-        """The columns; built from the publications if not held, and then held."""
-        if self._columns is None:
-            object.__setattr__(self, "_columns", self._columns_or_built())
-        return self._columns
-
-    def _columns_or_built(self) -> tuple[tuple, ...]:
-        """The columns, built from the publications (and not held) if not held."""
-        if self._columns is not None:
-            return self._columns
-        pubs = self._publications
-        columns = tuple(tuple(map(attrgetter(attr), pubs)) for attr in _COLUMN_ATTRS[:6])
-        return columns + (tuple(_row(pub.citations_by_year, pub.pub_year) for pub in pubs),)
-
-    def _publications_at(self, indices: Sequence[int]) -> list[Publication]:
-        """The publications at ``indices``, without building the others."""
-        pubs = self._publications
-        if pubs is not None:
-            return list(map(pubs.__getitem__, indices))
-        return list(_materialize(self, indices))
 
     def unit_ids(self) -> list[str]:
         """All unit ids occurring in the corpus, ascending."""
         return sorted(set(chain.from_iterable(self.units)))
 
 
-def _fill(corpus: Corpus, census_year: int, first_year: int, columns, publications) -> None:
-    for name, value in zip(Corpus.__slots__, (census_year, first_year, columns, publications)):
+# census year, first year and the columns: what a corpus holds besides its cache
+_state = attrgetter(*Corpus.__slots__[:-1])
+
+
+def _fill(corpus: Corpus, census_year: int, first_year: int, *columns: tuple) -> None:
+    for name, value in zip(Corpus.__slots__, (census_year, first_year, *columns, None)):
         object.__setattr__(corpus, name, value)
 
 
@@ -328,13 +305,12 @@ def _materialize(corpus: Corpus, indices: Sequence[int] | None) -> tuple[Publica
     that builds a :class:`Publication` without ``__post_init__``. The
     publications share the columns' id strings, id tuples and numbers.
     """
-    columns = corpus._column_tuples()
+    columns = _state(corpus)[2:]
     if indices is not None:
         columns = [list(map(column.__getitem__, indices)) for column in columns]
     years, rows = columns[1], columns[6]
-    census = corpus.census_year
     # a row spans its year to the census year, so no tail is longer than a row
-    tails = {year: tuple(range(year, census + 1))
+    tails = {year: tuple(range(year, corpus.census_year + 1))
              for year in {year for year, row in zip(years, rows) if row is not None}}
     counts = (None if row is None else dict(zip(tails[year], row))
               for year, row in zip(years, rows))
@@ -347,17 +323,16 @@ def _materialize(corpus: Corpus, indices: Sequence[int] | None) -> tuple[Publica
 
 def select_unit(corpus: Corpus, unit_id: str) -> list[Publication]:
     """Publications credited to ``unit_id``, ascending by id (possibly empty)."""
-    return corpus._publications_at(
-        [i for i, units in enumerate(corpus.units) if unit_id in units]
-    )
+    return list(_materialize(
+        corpus, [i for i, units in enumerate(corpus.units) if unit_id in units]))
 
 
 def select_cohort(corpus: Corpus, field_id: str, pub_year: int) -> list[Publication]:
     """Publications of ``field_id`` published in ``pub_year``, ascending by id."""
-    return corpus._publications_at([
+    return list(_materialize(corpus, [
         i for i, (fields, year) in enumerate(zip(corpus.fields, corpus.pub_years))
         if year == pub_year and field_id in fields
-    ])
+    ]))
 
 
 class _RecordReader:

@@ -201,22 +201,27 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
     rows: list[tuple[int, ...]] = []
     for unit in config.units:
         n = unit.n_pubs
-        pub_years = shape_rng.integers(first, census + 1, size=n)
-        field_idx = shape_rng.integers(0, len(config.fields), size=n)
-        if config.dispersion > 0:
-            g = count_rng.gamma(shape=shape, scale=scale, size=n)
-        else:
-            g = np.ones(n)
-        lam = rates[field_idx] * unit.quality * g  # (n,)
-        # Per-year means: 0 before the pub year, damped in it, lambda after.
-        after = year_grid[None, :] > pub_years[:, None]
-        same = year_grid[None, :] == pub_years[:, None]
-        mean = lam[:, None] * (after + config.same_year_damping * same)
+        # numpy raises ValueError for a size or a mean it cannot draw (no Poisson mean
+        # above about 9.2e18), MemoryError for arrays it cannot allocate
         try:
+            pub_years = shape_rng.integers(first, census + 1, size=n)
+            field_idx = shape_rng.integers(0, len(config.fields), size=n)
+            if config.dispersion > 0:
+                g = count_rng.gamma(shape=shape, scale=scale, size=n)
+            else:
+                g = np.ones(n)
+            with np.errstate(over="ignore"):
+                lam = rates[field_idx] * unit.quality * g  # (n,)
+            if not np.isfinite(lam).all():
+                raise ValueError("lam value is not finite")
+            # Per-year means: 0 before the pub year, damped in it, lambda after.
+            after = year_grid[None, :] > pub_years[:, None]
+            same = year_grid[None, :] == pub_years[:, None]
+            mean = lam[:, None] * (after + config.same_year_damping * same)
             increments = count_rng.poisson(mean)  # Poisson(0) == 0 before pub year
-        except ValueError as exc:  # numpy draws no mean above about 9.2e18
+        except (ValueError, MemoryError) as exc:
             raise ValidationError(
-                f"unit '{unit.unit_id}': cannot draw citations: {exc}"
+                f"unit '{unit.unit_id}': cannot draw citations: {str(exc) or 'out of memory'}"
             ) from None
         del mean  # each (n, years) array goes as soon as it is used: they set peak memory
         unit_pub_ids = [str(i).zfill(width) for i in range(len(ids), len(ids) + n)]

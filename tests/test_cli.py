@@ -391,3 +391,74 @@ def test_csv_row_the_reader_rejects_is_one_line_error(tmp_path, capsys, command,
     assert main(_csv_command(tmp_path, command, scores, baselines)) == 1
     table = "baseline" if command == "score --baselines" else "scores"
     assert capsys.readouterr().err.splitlines() == [f"error: {table} CSV row 2: {message}"]
+
+
+def _simulate(tmp_path, config) -> int:
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "c.jsonl")])
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("units", "n_pubs", 2 ** 64),  # more draws than numpy can shape an array for
+    ("fields", "rate", 1e308),  # rate × quality × heterogeneity overflows to inf
+])
+def test_draws_numpy_cannot_make_are_one_line_error(tmp_path, capsys, section, key, value):
+    config = json.loads(json.dumps(CONFIG))
+    config[section][0][key] = value
+    assert _simulate(tmp_path, config) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unit 'u_big': cannot draw citations: ")
+    if key == "rate":
+        assert err[0].endswith(": lam value is not finite")
+
+
+def test_draws_beyond_memory_are_one_line_error(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    class NoMemory:
+        """A generator that fails as numpy's does for more draws than memory holds."""
+
+        def __init__(self, seed):
+            pass
+
+        def integers(self, low, high, size):
+            raise MemoryError
+
+    monkeypatch.setattr(np.random, "default_rng", NoMemory)
+    config = json.loads(json.dumps(CONFIG))
+    config["units"][0]["n_pubs"] = 10 ** 10
+    assert _simulate(tmp_path, config) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unit 'u_big': cannot draw citations: out of memory"
+    ]
+
+
+RECORD = {"id": "P1", "unit_ids": ["u1"], "field_ids": ["f1"], "pub_year": 2005,
+          "doc_type": "article", "citations_total": 2}
+CORPUS_ARGS = ["--corpus", "{corpus}", "--census", "2009", "--out", "{out}"]
+LINE_BREAK_ERRORS = {
+    "corpus key": ({**RECORD, "bad\nkey": 1}, ["baselines", *CORPUS_ARGS],
+                   r"error: line 1: unknown key 'bad\nkey'"),
+    "field id": ({**RECORD, "field_ids": ["f\ng"]},
+                 ["score", *CORPUS_ARGS, "--units", "all", "--baselines", "{baselines}"],
+                 r"error: no baseline cell for field 'f\ng', year 2005"),
+    "unit id": (RECORD, ["score", *CORPUS_ARGS, "--units", "x\ny\u2028z"],
+                r"error: unit 'x\ny\u2028z' has no publications"),
+    "config key": (RECORD, ["simulate", "--config", "{config}", "--out", "{out}"],
+                   r"error: bad simulation config: unknown key 'fi\rst_year' in the config"),
+    "argument": (RECORD, ["baselines", *CORPUS_ARGS, "x\ny"],
+                 r"usage error: unrecognized arguments: x\ny"),
+}
+
+
+@pytest.mark.parametrize("record, command, line", LINE_BREAK_ERRORS.values(),
+                         ids=LINE_BREAK_ERRORS)
+def test_error_naming_a_line_break_is_one_line(tmp_path, capsys, record, command, line):
+    paths = {name: tmp_path / name for name in ("corpus", "baselines", "config", "out")}
+    paths["corpus"].write_text(json.dumps(record) + "\n", encoding="utf-8")
+    paths["baselines"].write_bytes(BASELINES_CSV)
+    paths["config"].write_text(json.dumps(  # the config's first_year key, with a carriage return
+        {("fi\rst_year" if key == "first_year" else key): value for key, value in CONFIG.items()}))
+    assert main([arg.format(**paths) for arg in command]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]

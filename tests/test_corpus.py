@@ -21,6 +21,7 @@ from citnorm.corpus import (
 )
 from citnorm.errors import ValidationError
 from citnorm.indicators import score_units
+from citnorm.simulate import config_from_dict, generate_corpus
 
 from conftest import make_corpus, make_pub
 
@@ -346,24 +347,31 @@ def test_corpus_pickles_and_copies(tmp_path):
 
 
 
-def test_comparing_a_corpus_keeps_one_representation(tmp_path, monkeypatch):
+def test_a_corpus_holds_its_columns_and_builds_its_publications_once(tmp_path, monkeypatch):
     pubs = [make_pub(f"P{i}", year=2008, citations=i, by_year={2008: 0, 2009: i, 2010: i})
             for i in range(5)]
     write_corpus(make_corpus(pubs), tmp_path / "corpus.jsonl")
+    config = config_from_dict({"fields": [{"field_id": "f1", "rate": 2.0}],
+                               "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 5}],
+                               "first_year": 2000, "census_year": 2010, "seed": 3})
+    builds, materialize = [], corpus_module._materialize
+    monkeypatch.setattr(corpus_module, "_materialize",
+                        lambda *args: builds.append(args[1]) or materialize(*args))
     read = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    for corpus in (read, generate_corpus(config), make_corpus(pubs)):
+        for again in (pickle.loads(pickle.dumps(corpus)), copy.copy(corpus),
+                      copy.deepcopy(corpus)):
+            assert again == corpus and corpus == again
+        score_units(corpus, compute_baselines(corpus))
+    assert make_corpus(pubs) == read and builds == [], "comparing or scoring built publications"
+    # the tuple is built once, however often it is read, and the columns stay
     iterated = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
-    assert len(iterated.publications) == 5 and iterated._columns is None
-    for corpus in (iterated, make_corpus(pubs)):
-        assert corpus == read and read == corpus
-        pickle.dumps(corpus)
-        assert corpus._columns is None, "a comparison or a pickle kept the columns"
-    assert read._publications is None, "a comparison built the publications"
-    # scoring a corpus built from publications derives its columns once, and then holds them
-    built, rows, row = make_corpus(pubs), [], corpus_module._row
-    monkeypatch.setattr(corpus_module, "_row", lambda *args: rows.append(args) or row(*args))
-    table = compute_baselines(built)
-    score_units(built, table, ["u1"])
-    assert len(rows) == len(pubs)
+    first = iterated.publications
+    assert iterated.publications is first and list(iterated) == list(first) == pubs
+    assert builds == [None]
+    table = compute_baselines(iterated)
+    assert iterated == read and score_units(iterated, table) == score_units(read, table)
+    assert table == compute_baselines(read) and builds == [None]
 
 
 ids = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6)
