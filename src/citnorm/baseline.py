@@ -23,6 +23,9 @@ from .corpus import Corpus, Publication
 from .errors import ValidationError
 
 _CSV_HEADER = ["field_id", "pub_year", "mean_citations", "cell_size"]
+# The nonzero means compute_baselines can write at 6 decimals. Within them every ratio
+# and sum the indicators take is finite, where math.fsum would raise OverflowError.
+_MIN_MEAN, _MAX_MEAN = 0.000001, float(2 ** 53 - 1)
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,9 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
     """Build the expected-citations table from a reference corpus.
 
     A multi-field publication contributes its full citation count to every one
-    of its fields' cells (whole counting). Cell sums are accumulated as exact
-    integers in canonical id order and divided once, so partitioned/merged
-    construction yields bit-identical means. Reads the corpus's columns: no
-    publication is built.
+    of its fields' cells (whole counting). Cell sums are exact integers,
+    divided once, so a cell's mean depends only on its members. Reads the
+    corpus's columns: no publication is built.
     """
     if len(corpus) == 0:
         raise ValidationError("cannot compute baselines over an empty corpus")
@@ -68,15 +70,15 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
 
 def _expected(table: BaselineTable, field_ids: tuple[str, ...], pub_year: int) -> float:
     """:func:`expected_citations` of a publication with these fields and year."""
-    total = 0.0
+    means = []
     for fid in field_ids:
         cell = table.cells.get((fid, pub_year))
         if cell is None:
             raise ValidationError(
                 f"no baseline cell for field '{fid}', year {pub_year}"
             )
-        total += cell.mean_citations
-    return total / len(field_ids)
+        means.append(cell.mean_citations)
+    return math.fsum(means) / len(field_ids)
 
 
 def expected_citations(table: BaselineTable, pub: Publication) -> float:
@@ -84,7 +86,8 @@ def expected_citations(table: BaselineTable, pub: Publication) -> float:
 
     For a single-field publication this is exactly its cell mean; for a
     multi-field publication it is the arithmetic mean of the cell means over
-    the publication's fields, taken in their listed order.
+    the publication's fields, whose listed order names the first missing cell
+    but does not change the mean (the sum is :func:`math.fsum`).
     """
     return _expected(table, pub.field_ids, pub.pub_year)
 
@@ -133,7 +136,9 @@ def _csv_rows(path: str | Path, what: str) -> Iterator[list[str]]:
 
 
 def read_baselines(path: str | Path) -> BaselineTable:
-    """Load a CSV baseline export (means carry 6 decimal places)."""
+    """Load a CSV baseline export (means carry 6 decimal places). A mean is 0 or lies
+    in [0.000001, 2**53 - 1], as :func:`compute_baselines` writes it; any other mean
+    is an invalid cell."""
     cells: dict[tuple[str, int], BaselineCell] = {}
     rows = _csv_rows(path, "baseline")
     header = next(rows, None)
@@ -151,7 +156,7 @@ def read_baselines(path: str | Path) -> BaselineTable:
             size = _csv_int(size_s)
         except ValueError:
             raise ValidationError(f"baseline CSV row {row_no}: malformed values") from None
-        if not (math.isfinite(mean) and mean >= 0) or size < 1:
+        if not (mean == 0 or _MIN_MEAN <= mean <= _MAX_MEAN) or size < 1:
             raise ValidationError(f"baseline CSV row {row_no}: invalid cell")
         if (fid, year) in cells:
             raise ValidationError(f"baseline CSV row {row_no}: duplicate cell ({fid}, {year})")

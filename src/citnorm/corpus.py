@@ -22,8 +22,8 @@ Publication file format (JSON Lines, UTF-8, one object per line):
 Integers are JSON integers: true and false are rejected, never read as 1 and 0.
 A ``citations_by_year`` key is a year as ``str(int(key))`` writes it: ``" 2008"``
 or ``"02008"`` is rejected, not read as 2008. Unknown keys are rejected by name.
-Publications are kept in ascending id order everywhere, so downstream
-floating-point summations are bit-reproducible.
+Publications are kept in ascending id order everywhere, so every listing of
+them, written or returned, comes in one order.
 
 :func:`parse_corpus` reads a file once and takes every record through one
 ordered pass of checks, the first fault ending the read with its line number:

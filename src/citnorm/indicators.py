@@ -16,16 +16,14 @@ silent skip, and print as ``NA`` in exports. Publications with e = 0 are
 excluded from MNCS means (0/0 has no value) and tallied; they stay in the
 CPP/FCSm sums, where they merely add zero to the denominator.
 
-All summations run in ascending publication-id order so results are
-bit-reproducible regardless of how work is partitioned.
+Every floating-point sum is :func:`math.fsum`, which is correctly rounded, so
+a unit's scores depend on its set of publications and not on their order.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -102,15 +100,15 @@ def score_publication(pub: Publication, table: BaselineTable) -> ScoredPublicati
 
 
 def _ratio_of_sums(cs: Sequence[int], es: Sequence[float]) -> float | None:
-    """Σc / Σe, summing e one by one in the given order; None when Σe = 0."""
-    total_e = reduce(add, es, 0.0)
+    """Σc / Σe; None when Σe = 0."""
+    total_e = math.fsum(es)
     return None if total_e == 0 else sum(cs) / total_e
 
 
 def _mean_ratio(cs: Sequence[int], es: Sequence[float]) -> MncsResult:
-    """Mean of c/e over the pairs with e != 0, summed one by one in the given order."""
+    """Mean of c/e over the pairs with e != 0; None when there is none."""
     ratios = [c / e for c, e in zip(cs, es) if e != 0]
-    value = reduce(add, ratios, 0.0) / len(ratios) if ratios else None
+    value = math.fsum(ratios) / len(ratios) if ratios else None
     return MncsResult(value=value, n_used=len(ratios), n_excluded_zero_e=len(cs) - len(ratios))
 
 
@@ -123,8 +121,7 @@ def cpp_fcsm(pubs: Sequence[ScoredPublication]) -> float | None:
     """
     if not pubs:
         raise ValidationError("cpp_fcsm requires at least one publication")
-    ordered = sorted(pubs, key=attrgetter("id"))
-    return _ratio_of_sums([pub.c for pub in ordered], [pub.e for pub in ordered])
+    return _ratio_of_sums([pub.c for pub in pubs], [pub.e for pub in pubs])
 
 
 def mncs(
@@ -139,10 +136,9 @@ def mncs(
     """
     if not pubs:
         raise ValidationError("mncs requires at least one publication")
-    ordered = sorted(pubs, key=attrgetter("id"))
     if exclude_recent:
-        ordered = [pub for pub in ordered if pub.pub_year <= census_year - 1]
-    return _mean_ratio([pub.c for pub in ordered], [pub.e for pub in ordered])
+        pubs = [pub for pub in pubs if pub.pub_year <= census_year - 1]
+    return _mean_ratio([pub.c for pub in pubs], [pub.e for pub in pubs])
 
 
 def score_unit(corpus: Corpus, table: BaselineTable, unit_id: str) -> UnitScore:
@@ -158,8 +154,8 @@ def score_units(
     One score per distinct requested unit, ascending by id. A single pass over
     the corpus's columns in id order finds each publication's requested units
     (a repeated unit counts once) and looks up its expected count once per
-    distinct (fields, year); per-unit sums then run over the unit's
-    publications in id order. Cost is corpus size plus unit memberships, no
+    distinct (fields, year); each unit's sums are then :func:`math.fsum` over
+    its publications. Cost is corpus size plus unit memberships, no
     publication is built, and other units' publications are never looked up.
     """
     wanted = None if unit_ids is None else set(unit_ids)
@@ -302,8 +298,14 @@ def _parse_value(text: str) -> float | None:
 
 
 def read_scores(path: str | Path) -> list[UnitScore]:
-    """Load a scores CSV written by :func:`write_scores`."""
+    """Load a scores CSV written by :func:`write_scores`.
+
+    A row :func:`write_scores` cannot write is an error naming it: an empty or
+    repeated unit id, or counts outside 1 <= n_total, 0 <= n_mncs2 <= n_total and
+    0 <= n_excluded_zero_e <= n_total.
+    """
     scores: list[UnitScore] = []
+    seen: set[str] = set()
     rows = _csv_rows(path, "scores")
     header = next(rows, None)
     if header != _SCORES_HEADER:
@@ -314,7 +316,7 @@ def read_scores(path: str | Path) -> list[UnitScore]:
         if len(row) != len(_SCORES_HEADER):
             raise ValidationError(f"scores CSV row {row_no}: wrong column count")
         try:
-            scores.append(UnitScore(
+            score = UnitScore(
                 unit_id=row[0],
                 n_total=_csv_int(row[1]),
                 n_mncs2=_csv_int(row[2]),
@@ -322,7 +324,16 @@ def read_scores(path: str | Path) -> list[UnitScore]:
                 cpp_fcsm=_parse_value(row[4]),
                 mncs1=_parse_value(row[5]),
                 mncs2=_parse_value(row[6]),
-            ))
+            )
         except ValueError:
             raise ValidationError(f"scores CSV row {row_no}: malformed values") from None
+        if not score.unit_id:
+            raise ValidationError(f"scores CSV row {row_no}: empty unit id")
+        if score.unit_id in seen:
+            raise ValidationError(f"scores CSV row {row_no}: duplicate unit {score.unit_id}")
+        seen.add(score.unit_id)
+        if not (1 <= score.n_total and 0 <= score.n_mncs2 <= score.n_total
+                and 0 <= score.n_excluded_zero_e <= score.n_total):
+            raise ValidationError(f"scores CSV row {row_no}: invalid counts")
+        scores.append(score)
     return scores

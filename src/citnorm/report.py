@@ -4,7 +4,7 @@ Scatter plots put two indicators on equal linear axes from 0 to a shared
 maximum, draw a 45-degree identity line through the origin, and mark small
 units (at most ``threshold`` publications with a full citation year) as red
 squares and larger units as blue circles. Units with an undefined coordinate
-are omitted and tallied, as are units beyond an explicit axis cap; the tallies
+are omitted and tallied, as are units outside [0, axis maximum]; the tallies
 are recorded in a metadata comment inside the SVG so the plot stays auditable.
 Rendering is pure text generation and byte-deterministic.
 """
@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import re
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 from html import escape
@@ -24,6 +27,8 @@ MARGIN = 40
 MARKER = 5
 RED = "#CC0000"
 BLUE = "#0033CC"
+# a character outside XML 1.0's Char production, which no well-formed document holds
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,8 @@ class ScatterSpec:
             )
         if self.threshold < 0:
             raise ValidationError("threshold must be >= 0")
-        if self.axis_max is not None and self.axis_max <= 0:
-            raise ValidationError("axis_max must be > 0")
+        if self.axis_max is not None and not (0 < self.axis_max < math.inf):
+            raise ValidationError(f"axis_max must be finite and > 0: got {self.axis_max}")
 
 
 def _to_px(value: float, axis_max: float) -> float:
@@ -55,6 +60,8 @@ def render_scatter(scores: Sequence[UnitScore], spec: ScatterSpec) -> str:
     plottable = []
     undefined = 0
     for score in ordered:
+        if _NOT_XML_CHAR.search(score.unit_id):
+            raise ValidationError(f"unit id {score.unit_id!r} holds a character XML 1.0 forbids")
         x = getattr(score, spec.x_indicator)
         y = getattr(score, spec.y_indicator)
         if x is None or y is None:
@@ -68,12 +75,12 @@ def render_scatter(scores: Sequence[UnitScore], spec: ScatterSpec) -> str:
         axis_max = spec.axis_max
     else:
         peak = max(max(x, y) for _, x, y in plottable)
-        axis_max = 1.05 * peak if peak > 0 else 1.0
+        axis_max = min(1.05 * peak, sys.float_info.max) if peak > 0 else 1.0
 
     markers: list[str] = []
     clipped = 0
     for score, x, y in plottable:
-        if x > axis_max or y > axis_max:
+        if not (0 <= x <= axis_max and 0 <= y <= axis_max):
             clipped += 1
             continue
         px = _to_px(x, axis_max)

@@ -116,9 +116,7 @@ def correlate_indicators(scores: Sequence[UnitScore], min_pubs: int = 0) -> Corr
     """
     if len(scores) < 2:
         raise ValidationError("need at least two units to correlate")
-    eligible = sorted(
-        (s for s in scores if s.n_total >= min_pubs), key=lambda s: s.unit_id
-    )
+    eligible = [s for s in scores if s.n_total >= min_pubs]
     pairs = []
     for label_x, label_y in _INDICATOR_PAIRS:
         xs: list[float] = []
@@ -152,29 +150,33 @@ class AgeCorrelationMatrix:
     entries: tuple[tuple[float | None, ...], ...]
 
 
-def _shared_year_domain(pubs: Sequence[Publication]) -> list[int]:
+def _year_columns(pubs: Sequence[Publication]) -> dict[int, list[int]]:
+    """Each citation year of same-year publications mapped to their cumulative counts
+    by the end of it, in id order. The publications must share their publication year
+    and the years they count; id order fixes which one a fault names."""
     if not pubs:
         raise ValidationError("no publications given")
-    first = pubs[0]
-    for pub in pubs:
+    ordered = sorted(pubs, key=lambda p: p.id)
+    first = ordered[0]
+    for pub in ordered:
         if pub.citations_by_year is None:
             raise ValidationError(f"publication {pub.id}: missing citations_by_year")
         if pub.pub_year != first.pub_year:
             raise ValidationError("publications must share the same publication year")
     years = sorted(first.citations_by_year)  # type: ignore[arg-type]
-    for pub in pubs:
+    for pub in ordered:
         if sorted(pub.citations_by_year) != years:  # type: ignore[arg-type]
             raise ValidationError("publications must cover the same year range")
-    return years
+    return {year: [pub.citations_by_year[year] for pub in ordered]  # type: ignore[index]
+            for year in years}
 
 
 def age_correlation_matrix(pubs: Sequence[Publication]) -> AgeCorrelationMatrix:
     """Cross-year citation-count correlations for same-year publications, from
     exact integer moments of the counts (Σx, Σx² per year, Σxy per pair)."""
-    ordered = sorted(pubs, key=lambda p: p.id)
-    years = _shared_year_domain(ordered)
-    columns = [[pub.citations_by_year[y] for pub in ordered] for y in years]  # type: ignore[index]
-    n_pubs, n = len(ordered), len(years)
+    by_year = _year_columns(pubs)
+    years, columns = list(by_year), list(by_year.values())
+    n_pubs, n = len(pubs), len(years)
     if n > 1 and n_pubs < 2:
         raise ValidationError("need at least two observations")
     sums = [sum(col) for col in columns]
@@ -203,22 +205,12 @@ class Trajectory:
 
 def trajectory(pubs: Sequence[Publication], field_id: str, pub_year: int) -> Trajectory:
     """Average citation trajectory of the publications in one field-year."""
-    matched = sorted(
-        (p for p in pubs if field_id in p.field_ids and p.pub_year == pub_year),
-        key=lambda p: p.id,
-    )
+    matched = [p for p in pubs if field_id in p.field_ids and p.pub_year == pub_year]
     if not matched:
         raise ValidationError(f"no publications in field '{field_id}', year {pub_year}")
-    years = _shared_year_domain(matched)
-    means = []
-    for year in years:
-        total = 0
-        for pub in matched:
-            total += pub.citations_by_year[year]  # type: ignore[index]
-        means.append((year, total / len(matched)))
-    return Trajectory(
-        field_id=field_id, pub_year=pub_year, n_pubs=len(matched), means=tuple(means)
-    )
+    means = tuple((year, sum(column) / len(matched))
+                  for year, column in _year_columns(matched).items())
+    return Trajectory(field_id=field_id, pub_year=pub_year, n_pubs=len(matched), means=means)
 
 
 def write_correlation_report(report: CorrelationReport, path: str | Path) -> None:

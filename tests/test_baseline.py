@@ -1,6 +1,8 @@
 """Expected-citation table construction, lookup, and CSV round trips."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,3 +196,34 @@ def test_read_rejects_coerced_numerals(tmp_path, row):
     )
     with pytest.raises(ValidationError, match="^baseline CSV row 3: malformed values$"):
         read_baselines(path)
+
+
+def test_expected_count_does_not_depend_on_field_order():
+    # cell means 1/6, 1/10 and 6/15: summed one by one in listed order, the two
+    # orders below give 0.2222222222222222 and 0.22222222222222224
+    corpus = make_corpus([
+        make_pub(f"{field}-{k}", field=field, citations=citations if k == 0 else 0)
+        for field, size, citations in [("f1", 6, 1), ("f2", 10, 1), ("f3", 15, 6)]
+        for k in range(size)
+    ])
+    table = compute_baselines(corpus)
+    first = expected_citations(table, make_pub("X", fields=("f1", "f2", "f3")))
+    assert first == expected_citations(table, make_pub("Y", fields=("f3", "f1", "f2")))
+    means = [Fraction(table.cells[(f, 2005)].mean_citations) for f in ("f1", "f2", "f3")]
+    assert first == float(sum(means)) / 3
+    with pytest.raises(ValidationError, match="^no baseline cell for field 'g9', year 2005$"):
+        expected_citations(table, make_pub("Z", fields=("f1", "g9", "g1")))
+
+
+@pytest.mark.parametrize("mean, accepted", [
+    ("0.000000", True), ("0.000001", True), ("9007199254740991.000000", True),
+    ("0.0000009", False), ("9007199254740992", False), ("1e-300", False), ("1e308", False),
+])
+def test_read_accepts_only_means_compute_baselines_can_write(tmp_path, mean, accepted):
+    path = tmp_path / "baselines.csv"
+    path.write_text(f"field_id,pub_year,mean_citations,cell_size\nF,2005,{mean},1\n")
+    if accepted:
+        assert read_baselines(path).cells[("F", 2005)].mean_citations == float(mean)
+    else:
+        with pytest.raises(ValidationError, match="^baseline CSV row 2: invalid cell$"):
+            read_baselines(path)

@@ -462,3 +462,42 @@ def test_error_naming_a_line_break_is_one_line(tmp_path, capsys, record, command
         {("fi\rst_year" if key == "first_year" else key): value for key, value in CONFIG.items()}))
     assert main([arg.format(**paths) for arg in command]) == 1
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("mean", ["1e-300", "1e308"])
+def test_baseline_mean_compute_baselines_cannot_write_is_one_line_error(tmp_path, capsys, mean):
+    corpus, baselines, out = tmp_path / "corpus.jsonl", tmp_path / "b.csv", tmp_path / "s.csv"
+    corpus.write_text("".join(json.dumps({
+        **RECORD, "id": pid, "unit_ids": [unit], "field_ids": ["g"], "pub_year": 2000,
+        "citations_total": total}) + "\n" for pid, unit, total in [("P1", "v", 10 ** 9),
+                                                                    ("P2", "w", 1)]))
+    baselines.write_text(f"field_id,pub_year,mean_citations,cell_size\ng,2000,{mean},2\n")
+    assert main(["score", "--corpus", str(corpus), "--census", "2009", "--units", "all",
+                 "--baselines", str(baselines), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: baseline CSV row 2: invalid cell"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis_max", ["nan", "inf", "-inf", "0"])
+def test_plot_axis_max_not_finite_and_positive_is_one_line_error(tmp_path, capsys, axis_max):
+    scores, out = tmp_path / "scores.csv", tmp_path / "scatter.svg"
+    scores.write_bytes(SCORES_CSV)
+    assert main(["plot", "--scores", str(scores), "--x", "mncs1", "--y", "mncs2",
+                 f"--axis-max={axis_max}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: axis_max must be finite and > 0: got {float(axis_max)}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unit", ["\x01", "\ufffe"])
+def test_plot_of_a_unit_id_xml_forbids_is_one_line_error(tmp_path, capsys, unit):
+    corpus, scores, out = tmp_path / "corpus.jsonl", tmp_path / "scores.csv", tmp_path / "p.svg"
+    corpus.write_text("".join(json.dumps({**RECORD, "id": pid, "unit_ids": [uid]}) + "\n"
+                              for pid, uid in [("P1", "ok"), ("P2", unit)]))
+    assert main(["score", "--corpus", str(corpus), "--census", "2009", "--units", "all",
+                 "--out", str(scores)]) == 0
+    assert main(["plot", "--scores", str(scores), "--x", "cpp_fcsm", "--y", "mncs1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unit id {unit!r} holds a character XML 1.0 forbids"]
+    assert not out.exists()

@@ -503,3 +503,50 @@ def test_read_scores_rejects_coerced_numerals(tmp_path, row):
     )
     with pytest.raises(ValidationError, match="^scores CSV row 3: malformed values$"):
         read_scores(path)
+
+
+expected_counts = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2.0 ** 53 - 1))
+
+
+@given(st.lists(st.tuples(st.integers(0, 2 ** 53 - 1), expected_counts), min_size=1, max_size=30))
+@settings(max_examples=200)
+def test_sums_are_correctly_rounded(pairs):
+    # the exact sums, rounded once: no order of the terms can change them
+    pubs = [sp(f"p{i:03d}", c, e) for i, (c, e) in enumerate(pairs)]
+    cs, es = [c for c, _ in pairs], [e for _, e in pairs]
+    total_e = float(sum(map(Fraction, es)))
+    assert cpp_fcsm(pubs) == (None if total_e == 0 else sum(cs) / total_e)
+    ratios = [c / e for c, e in pairs if e != 0]
+    value = mncs(pubs, 2010, False).value
+    assert value == (float(sum(map(Fraction, ratios))) / len(ratios) if ratios else None)
+
+
+SCORES_HEADER = "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["alpha,3,3,0,1.0000,1.0000,1.0000", ",3,3,0,1.0000,1.0000,1.0000"],
+     "scores CSV row 3: empty unit id"),
+    (["u1,3,3,0,1.0000,1.0000,1.0000", "u1,3,3,0,1.0000,1.0000,1.0000"],
+     "scores CSV row 3: duplicate unit u1"),
+    (["u1,-3,-7,9,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
+    (["u1,0,0,0,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
+    (["u1,3,4,0,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
+    (["u1,3,-1,0,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
+    (["u1,3,3,4,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
+    (["u1,3,3,-1,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
+], ids=["empty-unit", "duplicate-unit", "all-counts", "n_total-0", "n_mncs2-above",
+        "n_mncs2-negative", "excluded-above", "excluded-negative"])
+def test_read_scores_rejects_rows_write_scores_never_writes(tmp_path, rows, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(SCORES_HEADER + "".join(row + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        read_scores(path)
+
+
+def test_read_scores_accepts_counts_at_their_bounds(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text(SCORES_HEADER + "u1,1,0,1,NA,NA,NA\nu2,2,2,2,1.0000,NA,NA\n",
+                    encoding="utf-8")
+    assert [(s.n_total, s.n_mncs2, s.n_excluded_zero_e) for s in read_scores(path)] == [
+        (1, 0, 1), (2, 2, 2)]

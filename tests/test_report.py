@@ -1,6 +1,7 @@
 """SVG scatter rendering and ranking export."""
 from __future__ import annotations
 
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -113,3 +114,50 @@ class TestRenderRanking:
         lines = render_ranking(scores, by="mncs2", top=10).splitlines()
         assert lines[1] == "1,B,2.00"
         assert lines[2] == "2,A,NA"
+
+
+COORDINATES = {"x", "y", "width", "height", "x1", "y1", "x2", "y2", "cx", "cy"}
+
+
+def assert_on_canvas(svg: str) -> None:
+    """Parse the document and check that every coordinate and the axis maximum are finite
+    and every coordinate lies on the canvas."""
+    for element in ET.fromstring(svg).iter():
+        for name in COORDINATES & element.attrib.keys():
+            assert 0 <= float(element.get(name)) <= CANVAS
+    assert math.isfinite(float(metadata(svg)["axis_max"]))
+
+
+@pytest.mark.parametrize("axis_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_axis_max_must_be_finite_and_positive(axis_max):
+    with pytest.raises(ValidationError, match="^axis_max must be finite and > 0: got "):
+        ScatterSpec("cpp_fcsm", "mncs1", axis_max=axis_max)
+
+
+@pytest.mark.parametrize("scores, axis_max, drawn", [
+    ([us("A", cpp=1.75e308, m1=1.0), us("B", cpp=1.0, m1=1.0)], None, 2),  # 1.05 × peak overflows
+    ([us("A", cpp=-1e308, m1=0.0), us("B", cpp=1.0, m1=2.0)], 1e-300, 0),
+    ([us("A", cpp=-1.0, m1=-2.0), us("B", cpp=1.0, m1=1.0)], None, 1),
+], ids=["overflowing-peak", "negative-under-tiny-cap", "negative"])
+def test_units_off_the_axes_are_clipped(scores, axis_max, drawn):
+    svg = render_scatter(scores, ScatterSpec("cpp_fcsm", "mncs1", axis_max=axis_max))
+    assert_on_canvas(svg)
+    meta = metadata(svg)
+    assert (int(meta["markers"]), int(meta["clipped"])) == (drawn, len(scores) - drawn)
+
+
+@pytest.mark.parametrize("unit", ["\x00", "\x01", "\x1f", "\ud800", "\ufffe", "\uffff"])
+def test_unit_id_xml_forbids_is_rejected(unit):
+    scores = [us("A", cpp=1.0, m1=1.0), us(f"u{unit}", cpp=1.0, m1=1.0)]
+    with pytest.raises(ValidationError) as raised:
+        render_scatter(scores, ScatterSpec("cpp_fcsm", "mncs1"))
+    assert str(raised.value) == f"unit id {'u' + unit!r} holds a character XML 1.0 forbids"
+
+
+def test_unit_ids_xml_allows_are_drawn():
+    ids = ["tab\tid", "new\nline", "<&>", "\x7f", "\ud7ff", "\ue000", "\ufffd", "\U0010ffff"]
+    svg = render_scatter([us(uid, cpp=1.0, m1=1.0) for uid in ids],
+                         ScatterSpec("cpp_fcsm", "mncs1"))
+    assert_on_canvas(svg)
+    titles = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}title")]
+    assert titles == sorted(ids)
