@@ -13,25 +13,35 @@ consequences of e = 0 are handled by the indicator layer.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .corpus import Corpus, Publication
+from .corpus import Corpus, Publication, _write_text
 from .errors import ValidationError
 
 _CSV_HEADER = ["field_id", "pub_year", "mean_citations", "cell_size"]
-# The nonzero means compute_baselines can write at 6 decimals. Within them every ratio
-# and sum the indicators take is finite, where math.fsum would raise OverflowError.
-_MIN_MEAN, _MAX_MEAN = 0.000001, float(2 ** 53 - 1)
+# Nonzero cell means: one of whole counts is at least 1/cell_size, and within the range every
+# ratio and sum the indicators take is finite (math.fsum raises OverflowError beyond it).
+# The CSV admits only the means compute_baselines writes at 6 decimals.
+_MIN_MEAN, _MIN_CSV_MEAN, _MAX_MEAN = 2.0 ** -53, 0.000001, float(2 ** 53 - 1)
 
 
 @dataclass(frozen=True)
 class BaselineCell:
+    """A cell's mean citation count, 0 or in [2**-53, 2**53 - 1], and its number of
+    publications, an integer of at least 1; any other cell is a :class:`ValidationError`."""
+
     mean_citations: float
     cell_size: int
+
+    def __post_init__(self) -> None:
+        mean, size = self.mean_citations, self.cell_size
+        if not (mean == 0 or _MIN_MEAN <= mean <= _MAX_MEAN) or type(size) is not int or size < 1:
+            raise ValidationError(f"invalid baseline cell: mean {mean!r}, size {size!r}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +104,18 @@ def expected_citations(table: BaselineTable, pub: Publication) -> float:
 
 def write_baselines(table: BaselineTable, path: str | Path) -> None:
     """Export the table as CSV, rows sorted by (field_id, pub_year)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for (fid, year) in sorted(table.cells):
-            cell = table.cells[(fid, year)]
-            writer.writerow([fid, year, f"{cell.mean_citations:.6f}", cell.cell_size])
+    _write_text(path, _csv_text(_CSV_HEADER, (
+        [fid, year, f"{cell.mean_citations:.6f}", cell.cell_size]
+        for (fid, year), cell in sorted(table.cells.items()))))
+
+
+def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The CSV text of a header and rows, each line ending in a bare newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _csv_int(text: str) -> int:
@@ -117,22 +133,26 @@ def _csv_real(text: str) -> float:
     return float(text)
 
 
-def _csv_rows(path: str | Path, what: str) -> Iterator[list[str]]:
-    """The rows of a UTF-8 CSV file; a row that the csv module or UTF-8 rejects is a
+def _csv_rows(path: str | Path, what: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows after the header of a UTF-8 CSV file, each with its row number.
+    A header other than ``header``, or a row that the csv module or UTF-8 rejects, is a
     one-line error naming it. ``surrogateescape`` turns a byte that is not UTF-8 into a
     lone surrogate, which no valid row holds."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         rows = csv.reader(handle)
         for row_no in count(1):
             try:
-                row = next(rows)
-                ",".join(row).encode("utf-8")
-            except StopIteration:
-                return
+                row = next(rows, None)
+                ",".join(row or ()).encode("utf-8")
             except (csv.Error, UnicodeEncodeError) as exc:  # csv: e.g. an unclosed quote
                 fault = "not valid UTF-8" if isinstance(exc, UnicodeError) else exc
                 raise ValidationError(f"{what} CSV row {row_no}: {fault}") from None
-            yield row
+            if row_no == 1 and row != header:
+                raise ValidationError(f"bad {what} CSV header: {row}")
+            if row is None:
+                return
+            if row and row_no > 1:
+                yield row_no, row
 
 
 def read_baselines(path: str | Path) -> BaselineTable:
@@ -140,13 +160,7 @@ def read_baselines(path: str | Path) -> BaselineTable:
     in [0.000001, 2**53 - 1], as :func:`compute_baselines` writes it; any other mean
     is an invalid cell."""
     cells: dict[tuple[str, int], BaselineCell] = {}
-    rows = _csv_rows(path, "baseline")
-    header = next(rows, None)
-    if header != _CSV_HEADER:
-        raise ValidationError(f"bad baseline CSV header: {header}")
-    for row_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
+    for row_no, row in _csv_rows(path, "baseline", _CSV_HEADER):
         if len(row) != 4:
             raise ValidationError(f"baseline CSV row {row_no}: expected 4 columns")
         fid, year_s, mean_s, size_s = row
@@ -156,7 +170,7 @@ def read_baselines(path: str | Path) -> BaselineTable:
             size = _csv_int(size_s)
         except ValueError:
             raise ValidationError(f"baseline CSV row {row_no}: malformed values") from None
-        if not (mean == 0 or _MIN_MEAN <= mean <= _MAX_MEAN) or size < 1:
+        if not (mean == 0 or _MIN_CSV_MEAN <= mean <= _MAX_MEAN) or size < 1:
             raise ValidationError(f"baseline CSV row {row_no}: invalid cell")
         if (fid, year) in cells:
             raise ValidationError(f"baseline CSV row {row_no}: duplicate cell ({fid}, {year})")

@@ -57,23 +57,16 @@ def _build_parser() -> _Parser:
                    help="ignore units with fewer total publications")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("trajectory", help="mean cumulative citations per year for a field cohort")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--census", type=int, default=None,
-                   help="census year (default: inferred from the file)")
-    p.add_argument("--first-year", type=int, default=None)
-    p.add_argument("--field", required=True)
-    p.add_argument("--pub-year", required=True, type=int)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("age-corr", help="cross-year citation-count correlation matrix")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--census", type=int, default=None,
-                   help="census year (default: inferred from the file)")
-    p.add_argument("--first-year", type=int, default=None)
-    p.add_argument("--field", required=True)
-    p.add_argument("--pub-year", required=True, type=int)
-    p.add_argument("--out", required=True)
+    for name, help_ in (("trajectory", "mean cumulative citations per year for a field cohort"),
+                        ("age-corr", "cross-year citation-count correlation matrix")):
+        p = sub.add_parser(name, help=help_)  # the two cohort commands take the same arguments
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--census", type=int, default=None,
+                       help="census year (default: inferred from the file)")
+        p.add_argument("--first-year", type=int, default=None)
+        p.add_argument("--field", required=True)
+        p.add_argument("--pub-year", required=True, type=int)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic corpus")
     p.add_argument("--config", required=True, help="simulation config JSON")
@@ -146,9 +139,7 @@ def _run(args) -> None:
         scores = indicators.read_scores(args.scores)
         spec = report.ScatterSpec(x_indicator=args.x, y_indicator=args.y,
                                   threshold=args.threshold, axis_max=args.axis_max)
-        svg = report.render_scatter(scores, spec)
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(svg)
+        corpus._write_text(args.out, report.render_scatter(scores, spec))
 
     elif args.command == "rank":
         scores = indicators.read_scores(args.scores)

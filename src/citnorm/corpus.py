@@ -43,10 +43,15 @@ columns only where a caller asks for them: ``corpus.publications`` and
 iteration build the whole tuple once, on first use, and cache it beside the
 columns; :func:`select_unit` and :func:`select_cohort` build only the
 publications they return.
+
+Every file citnorm writes goes through :func:`_write_text`, whole or not at all. An id
+holding a lone surrogate (a ``"\\ud800"`` escape) is an error only there, as UTF-8 cannot hold it.
 """
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
@@ -284,10 +289,6 @@ class Corpus:
             object.__setattr__(self, "_publications", pubs)
         return pubs
 
-    def unit_ids(self) -> list[str]:
-        """All unit ids occurring in the corpus, ascending."""
-        return sorted(set(chain.from_iterable(self.units)))
-
 
 # census year, first year and the columns: what a corpus holds besides its cache
 _state = attrgetter(*Corpus.__slots__[:-1])
@@ -517,5 +518,37 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(corpus_to_jsonl(corpus))
+    _write_text(path, corpus_to_jsonl(corpus))
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all.
+
+    A character UTF-8 cannot hold is a :class:`ValidationError` before any file is touched.
+    A temporary file beside the target then replaces it: a new file gets the mode
+    ``open(path, "w")`` gives, an existing one keeps its mode and a symlink stays a link.
+    A target that is no regular file, such as a FIFO or ``/dev/stdout``, is written in place."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"cannot write {exc.object[exc.start]!r} as UTF-8") from None
+    mode = os.stat(path).st_mode if os.path.exists(path) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return
+    target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target), f".citnorm-{os.urandom(8).hex()}.tmp")
+    try:  # a new file, 0o666 less the umask as for open(path, "w")
+        handle = open(temp, "xb")
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
+            handle.write(data)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise

@@ -21,15 +21,14 @@ a unit's scores depend on its set of publications and not on their order.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .baseline import (BaselineTable, _csv_int, _csv_real, _csv_rows, _expected,
+from .baseline import (BaselineTable, _csv_int, _csv_real, _csv_rows, _csv_text, _expected,
                        expected_citations)
-from .corpus import Corpus, Publication
+from .corpus import Corpus, Publication, _write_text
 from .errors import ValidationError
 
 INDICATOR_NAMES = ("cpp_fcsm", "mncs1", "mncs2")
@@ -47,13 +46,6 @@ class ScoredPublication:
     pub_year: int
     c: int
     e: float
-
-    @property
-    def ratio(self) -> float | None:
-        """Normalized citation score c/e, or None when e = 0."""
-        if self.e == 0:
-            return None
-        return self.c / self.e
 
 
 @dataclass(frozen=True)
@@ -274,19 +266,10 @@ def format_value(value: float | None, decimals: int = 4) -> str:
 
 def write_scores(scores: Sequence[UnitScore], path: str | Path) -> None:
     """Export unit scores as CSV, rows sorted by unit_id, reals to 4 dp."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_SCORES_HEADER)
-        for score in sorted(scores, key=lambda s: s.unit_id):
-            writer.writerow([
-                score.unit_id,
-                score.n_total,
-                score.n_mncs2,
-                score.n_excluded_zero_e,
-                format_value(score.cpp_fcsm),
-                format_value(score.mncs1),
-                format_value(score.mncs2),
-            ])
+    _write_text(path, _csv_text(_SCORES_HEADER, (
+        [score.unit_id, score.n_total, score.n_mncs2, score.n_excluded_zero_e,
+         *(format_value(getattr(score, name)) for name in INDICATOR_NAMES)]
+        for score in sorted(scores, key=lambda s: s.unit_id))))
 
 
 def _parse_value(text: str) -> float | None:
@@ -306,13 +289,7 @@ def read_scores(path: str | Path) -> list[UnitScore]:
     """
     scores: list[UnitScore] = []
     seen: set[str] = set()
-    rows = _csv_rows(path, "scores")
-    header = next(rows, None)
-    if header != _SCORES_HEADER:
-        raise ValidationError(f"bad scores CSV header: {header}")
-    for row_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
+    for row_no, row in _csv_rows(path, "scores", _SCORES_HEADER):
         if len(row) != len(_SCORES_HEADER):
             raise ValidationError(f"scores CSV row {row_no}: wrong column count")
         try:

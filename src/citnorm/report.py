@@ -10,8 +10,6 @@ Rendering is pure text generation and byte-deterministic.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 import sys
@@ -19,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 from html import escape
 
+from .baseline import _csv_text
 from .errors import ValidationError
 from .indicators import INDICATOR_NAMES, UnitScore, format_value, rank_units
 
@@ -141,9 +140,6 @@ def render_scatter(scores: Sequence[UnitScore], spec: ScatterSpec) -> str:
 def render_ranking(scores: Sequence[UnitScore], by: str, top: int) -> str:
     """CSV text of the top units by one indicator (rank,unit_id,score)."""
     ranked = rank_units(scores, by, top)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["rank", "unit_id", "score"])
-    for position, score in enumerate(ranked, start=1):
-        writer.writerow([position, score.unit_id, format_value(getattr(score, by), decimals=2)])
-    return buffer.getvalue()
+    return _csv_text(["rank", "unit_id", "score"], (
+        [position, score.unit_id, format_value(getattr(score, by), decimals=2)]
+        for position, score in enumerate(ranked, start=1)))

@@ -10,7 +10,6 @@ finite at any finite magnitude; the age matrix uses exact integer moments.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -18,9 +17,10 @@ from operator import mul
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Publication
+from .baseline import _csv_text
+from .corpus import Publication, _write_text
 from .errors import ValidationError
-from .indicators import UnitScore
+from .indicators import UnitScore, format_value
 
 _INDICATOR_PAIRS = (
     ("cpp_fcsm", "mncs1"),
@@ -214,38 +214,23 @@ def trajectory(pubs: Sequence[Publication], field_id: str, pub_year: int) -> Tra
 
 
 def write_correlation_report(report: CorrelationReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["label_x", "label_y", "pearson", "spearman", "n"])
-        for pair in report.pairs:
-            writer.writerow([
-                pair.label_x,
-                pair.label_y,
-                "NA" if pair.pearson is None else f"{pair.pearson:.6f}",
-                "NA" if pair.spearman is None else f"{pair.spearman:.6f}",
-                pair.n,
-            ])
+    _write_text(path, _csv_text(["label_x", "label_y", "pearson", "spearman", "n"], ([
+        pair.label_x,
+        pair.label_y,
+        format_value(pair.pearson, decimals=6),
+        format_value(pair.spearman, decimals=6),
+        pair.n,
+    ] for pair in report.pairs)))
 
 
 def write_age_matrix(matrix: AgeCorrelationMatrix, path: str | Path) -> None:
     """CSV with year labels on the first row and column and a blank diagonal."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([""] + [str(y) for y in matrix.years])
-        for i, year in enumerate(matrix.years):
-            row: list[str] = [str(year)]
-            for j in range(len(matrix.years)):
-                if i == j:
-                    row.append("")
-                else:
-                    value = matrix.entries[i][j]
-                    row.append("NA" if value is None else f"{value:.2f}")
-            writer.writerow(row)
+    rows = ([year, *("" if i == j else format_value(value, decimals=2)
+                     for j, value in enumerate(matrix.entries[i]))]
+            for i, year in enumerate(matrix.years))
+    _write_text(path, _csv_text(["", *matrix.years], rows))
 
 
 def write_trajectory(traj: Trajectory, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["year", "mean_citations"])
-        for year, mean in traj.means:
-            writer.writerow([year, f"{mean:.4f}"])
+    _write_text(path, _csv_text(["year", "mean_citations"],
+                                ([year, format_value(mean)] for year, mean in traj.means)))

@@ -1,10 +1,16 @@
-"""Shared fixtures: the Hypothesis profile, the golden 15-publication research group and
-corpus builders."""
+"""Shared fixtures: the Hypothesis profile, the golden 15-publication research group,
+corpus builders and a runner for fresh interpreters."""
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import citnorm
 from citnorm.corpus import Corpus, Publication
 from citnorm.indicators import ScoredPublication
 
@@ -73,3 +79,12 @@ def make_pub(
 
 def make_corpus(pubs, census_year: int = 2010, first_year: int = 2000) -> Corpus:
     return Corpus(tuple(pubs), census_year=census_year, first_year=first_year)
+
+
+def run_module(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh interpreter that imports this checkout's citnorm."""
+    src = str(Path(citnorm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60, **kwargs)

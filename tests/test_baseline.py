@@ -1,6 +1,7 @@
 """Expected-citation table construction, lookup, and CSV round trips."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from citnorm.baseline import (
 )
 from citnorm.corpus import Corpus
 from citnorm.errors import ValidationError
+from citnorm.indicators import score_units
 
 from conftest import make_corpus, make_pub
 
@@ -227,3 +229,43 @@ def test_read_accepts_only_means_compute_baselines_can_write(tmp_path, mean, acc
     else:
         with pytest.raises(ValidationError, match="^baseline CSV row 2: invalid cell$"):
             read_baselines(path)
+
+
+# mean, cell_size; a comment names what scoring would make of the cell if it were admitted
+@pytest.mark.parametrize("mean, size", [
+    (1e308, 1),  # OverflowError: intermediate overflow in fsum
+    (math.nan, 1),  # cpp_fcsm = nan
+    (-1.0, 1),  # cpp_fcsm = -3.0 for 3 citations
+    (5e-324, 1),  # cpp_fcsm = inf, which write_scores wrote into the CSV
+    (math.inf, 1), (-math.inf, 1), (2.0 ** -54, 1), (2.0 ** 53, 1),
+    (1.0, 0), (1.0, -2), (1.0, 1.0), (1.0, True), (1.0, "3"),
+])
+def test_cell_outside_its_range_is_rejected(mean, size):
+    with pytest.raises(ValidationError, match="^invalid baseline cell: mean "):
+        BaselineCell(mean, size)
+
+
+@pytest.mark.parametrize("mean, size", [
+    (0, 1), (0.0, 3), (2.0 ** -53, 1), (1 / 10 ** 7, 10 ** 7), (1.0, 1), (2.0 ** 53 - 1, 1),
+])
+def test_cell_admits_every_mean_compute_baselines_makes(mean, size):
+    cell = BaselineCell(mean, size)
+    assert (cell.mean_citations, cell.cell_size) == (mean, size)
+
+
+def test_library_scores_stay_finite_at_the_ends_of_the_cell_range():
+    top = 2 ** 53 - 1
+    corpus = make_corpus([
+        make_pub("P1", fields=("F", "G"), citations=top),
+        make_pub("P2", field="H", citations=top),
+        make_pub("P3", field="H", year=2009, citations=0),
+    ])
+    table = BaselineTable({
+        ("F", 2005): BaselineCell(float(top), 1),
+        ("G", 2005): BaselineCell(float(top), 1),
+        ("H", 2005): BaselineCell(2.0 ** -53, 1),
+        ("H", 2009): BaselineCell(2.0 ** -53, 1),
+    })
+    (score,) = score_units(corpus, table)
+    values = (score.cpp_fcsm, score.mncs1, score.mncs2)
+    assert all(math.isfinite(value) for value in values)

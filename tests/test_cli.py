@@ -2,15 +2,12 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import citnorm
 from citnorm.cli import main
+
+from conftest import run_module
 
 CONFIG = {
     "fields": [{"field_id": "fast", "rate": 2.5}, {"field_id": "slow", "rate": 0.5}],
@@ -200,15 +197,6 @@ def test_unknown_indicator_choice_rejected(workdir, capsys):
     assert code == 1
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
-    """``python <args>`` in a fresh interpreter that imports this checkout's citnorm."""
-    src = str(Path(citnorm.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60)
-
-
 @pytest.mark.parametrize("command", ["baselines", "score"])
 def test_citation_count_beyond_float_range_is_one_line_error(tmp_path, command):
     corpus = tmp_path / "huge.jsonl"
@@ -217,7 +205,7 @@ def test_citation_count_beyond_float_range_is_one_line_error(tmp_path, command):
         "doc_type": "article", "citations_total": 10 ** 400,
     }) + "\n", encoding="utf-8")
     units = ["--units", "all"] if command == "score" else []
-    proc = _run_module("-m", "citnorm", command, "--corpus", str(corpus), "--census", "2009",
+    proc = run_module("-m", "citnorm", command, "--corpus", str(corpus), "--census", "2009",
                        *units, "--out", str(tmp_path / "out.csv"))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
@@ -341,7 +329,7 @@ def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
     ]
     for argv in commands:
         # -X importtime lists every module the run imports on stderr
-        proc = _run_module("-X", "importtime", "-m", "citnorm", *argv)
+        proc = run_module("-X", "importtime", "-m", "citnorm", *argv)
         assert proc.returncode == 0, (argv[0], proc.stderr[-500:])
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}
