@@ -143,7 +143,11 @@ def _run(args) -> None:
 
     elif args.command == "rank":
         scores = indicators.read_scores(args.scores)
-        sys.stdout.write(report.render_ranking(scores, by=args.by, top=args.top))
+        try:  # the stream encodes the whole text before it writes any of it
+            sys.stdout.write(report.render_ranking(scores, by=args.by, top=args.top))
+        except UnicodeEncodeError as exc:
+            raise ValidationError(
+                f"cannot write {exc.object[exc.start]!r} to stdout as {exc.encoding}") from None
 
     else:  # pragma: no cover - argparse enforces the choices
         raise ValidationError(f"unknown command {args.command}")

@@ -30,9 +30,9 @@ ordered pass of checks, the first fault ending the read with its line number:
 the line's UTF-8 and JSON; the raw record's shape (an object, unknown keys,
 missing keys, array id lists, a string ``doc_type``, the by-year object and
 its keys); the values, through the same two checks that :class:`Publication`
-makes (:func:`_check_ids`, :func:`_check_counts`); the id's uniqueness. Once
-all lines are read and the census year is known (when not given, the largest
-year the records carry), each record's span and by-year coverage are checked.
+makes (:func:`_check_ids`, :func:`_check_counts`); the id's uniqueness. Once all
+lines are read and the census year is known (when not given, the largest year the
+records carry), :func:`_checked_columns` checks them as for ``Corpus(publications)``.
 
 A :class:`Corpus` stores one column per fact (ids, years, totals, document
 types, unit and field id tuples, and one by-year row per publication), not
@@ -57,7 +57,7 @@ from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import add, attrgetter, le, lt
+from operator import add, attrgetter, itemgetter, le, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -178,24 +178,45 @@ def _row(counts: dict[int, int] | None, year: int) -> tuple[int, ...] | None:
     return ()
 
 
-def _span_fault(year: int, total: int, row: tuple[int, ...] | None, first: int,
-                census: int) -> str | None:
-    """What is wrong with a publication's year or by-year row for the span, if anything."""
-    if not first <= year <= census:
-        return f"pub_year {year} outside [{first}, {census}]"
-    if row is None:
-        return None
-    if year + len(row) - 1 != census:
-        return f"citations_by_year must cover every year from {year} to {census} with no gaps"
-    if row[-1] != total:
-        return f"citations_by_year at census year {census} does not equal citations_total"
-    return None
-
-
 # The Corpus columns, and the Publication attribute behind each, in column order
 _COLUMNS = ("ids", "pub_years", "totals", "doc_types", "units", "fields", "by_year")
 _COLUMN_ATTRS = ("id", "pub_year", "citations_total", "doc_type", "unit_ids", "field_ids",
                  "citations_by_year")
+
+
+def _checked_columns(records: Sequence[tuple], census: int, first: int,
+                     line_nos: Sequence[int] | None = None) -> tuple[tuple, ...]:
+    """The columns of checked ``records`` (values in ``_COLUMNS`` order) in id order, after
+    the corpus-level checks, the first fault ending them: ids unique, as :func:`parse_corpus`
+    checks an id as its line is read; each record's span in the order given (its year in
+    [first, census], a by-year row to the census with no gaps that ends at its total); then
+    ``first`` against ``census``. With ``line_nos``, one per record, a fault names its line."""
+    def error(i: int, message: str) -> ValidationError:
+        return ValidationError(message if line_nos is None else f"line {line_nos[i]}: {message}")
+
+    columns = tuple(zip(*records)) or ((),) * len(_COLUMNS)
+    ids = columns[0]
+    ordered = all(map(lt, ids, ids[1:]))  # strictly increasing ids hold no duplicate
+    if not ordered and len(set(ids)) < len(ids):
+        index: dict[str, int] = {}  # the first record whose id an earlier one holds is named
+        i = next(i for i, pid in enumerate(ids) if index.setdefault(pid, i) != i)
+        raise error(i, f"duplicate id {ids[i]}")
+    for i, (pid, year, total, _, _, _, row) in enumerate(records):
+        if not first <= year <= census:
+            fault = f"pub_year {year} outside [{first}, {census}]"
+        elif row is not None and year + len(row) - 1 != census:
+            fault = f"citations_by_year must cover every year from {year} to {census} with no gaps"
+        elif row is not None and row[-1] != total:
+            fault = f"citations_by_year at census year {census} does not equal citations_total"
+        else:
+            continue
+        raise error(i, f"publication {pid}: {fault}")
+    if first > census:
+        raise ValidationError(f"first_year {first} is after census_year {census}")
+    if not ordered:
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        columns = tuple(tuple(map(column.__getitem__, order)) for column in columns)
+    return columns
 
 
 class Corpus:
@@ -216,38 +237,21 @@ class Corpus:
                     ``census_year``, or None when the record has none
 
     The columns are the only stored form: :func:`parse_corpus` and the simulator
-    fill them, and this constructor derives them from the publications it checks,
-    which it does not keep. ``publications`` and iteration build the
-    :class:`Publication` tuple from the columns on first use and cache it beside
-    them; comparing, pickling and copying read only the columns. Safe for
-    concurrent read access once constructed.
+    fill them, and this constructor derives them from the publications, which it
+    does not keep, through the corpus-level check that :func:`parse_corpus` ends
+    in. ``publications`` and iteration build the :class:`Publication` tuple from
+    the columns on first use and cache it beside them; comparing, pickling and
+    copying read only the columns. Safe for concurrent read access once constructed.
     """
 
     __slots__ = ("census_year", "first_year", *_COLUMNS, "_publications")
 
     def __init__(self, publications: Iterable[Publication], census_year: int,
                  first_year: int) -> None:
-        first, census = first_year, census_year
-        if first > census:
-            raise ValidationError(f"first_year {first} is after census_year {census}")
-        pubs = tuple(publications)
-        ids = [pub.id for pub in pubs]
-        # strictly increasing ids are already in canonical order and hold no duplicate
-        if not all(map(lt, ids, ids[1:])):
-            pubs = tuple(sorted(pubs, key=attrgetter("id")))
-            ids = [pub.id for pub in pubs]
-            for pid, next_id in zip(ids, ids[1:]):
-                if pid == next_id:
-                    raise ValidationError(f"duplicate id {pid}")
-        rows = []
-        for pub in pubs:
-            row = _row(pub.citations_by_year, pub.pub_year)
-            fault = _span_fault(pub.pub_year, pub.citations_total, row, first, census)
-            if fault is not None:
-                raise ValidationError(f"publication {pub.id}: {fault}")
-            rows.append(row)
-        _fill(self, census, first,
-              *(tuple(map(attrgetter(attr), pubs)) for attr in _COLUMN_ATTRS[:6]), tuple(rows))
+        values = attrgetter(*_COLUMN_ATTRS[:6])
+        records = [(*values(pub), _row(pub.citations_by_year, pub.pub_year))
+                   for pub in publications]
+        _fill(self, census_year, first_year, *_checked_columns(records, census_year, first_year))
 
     @classmethod
     def _from_columns(cls, census_year: int, first_year: int, *columns) -> Corpus:
@@ -452,7 +456,7 @@ def parse_corpus(path: str | Path, census_year: int | None = None,
     ``pub_year`` or as a ``citations_by_year`` key; ``first_year`` defaults
     to the earliest ``pub_year``. A record's own faults are reported as its
     line is read, its span and by-year coverage after the read, once the
-    census year is known. Every error names its line.
+    census year is known. A record's fault names its line.
     """
     reader = _RecordReader()
     line_nos: list[int] = []
@@ -465,26 +469,16 @@ def parse_corpus(path: str | Path, census_year: int | None = None,
             except ValidationError as exc:
                 raise ValidationError(f"line {line_no}: {exc}") from None
             line_nos.append(line_no)
-    columns = tuple(zip(*reader.records)) or ((),) * 7
-    del reader.records
-    ids, years, totals, _, _, _, rows = columns
+    records = reader.records
     if census_year is None:
-        if not ids:
+        if not records:
             raise ValidationError(f"cannot infer a census year from {path}")
-        census_year = max(chain(years, (keys[-1] for keys, _, _ in reader.key_years.values()
-                                        if keys)))
+        census_year = max(chain(map(itemgetter(1), records),
+                                (keys[-1] for keys, _, _ in reader.key_years.values() if keys)))
     if first_year is None:
-        first_year = min(years, default=census_year)
-    for line_no, pid, year, total, row in zip(line_nos, ids, years, totals, rows):
-        fault = _span_fault(year, total, row, first_year, census_year)
-        if fault is not None:
-            raise ValidationError(f"line {line_no}: publication {pid}: {fault}")
-    if first_year > census_year:
-        raise ValidationError(f"first_year {first_year} is after census_year {census_year}")
-    if not all(map(lt, ids, ids[1:])):
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        columns = tuple(tuple(map(column.__getitem__, order)) for column in columns)
-    return Corpus._from_columns(census_year, first_year, *columns)
+        first_year = min(map(itemgetter(1), records), default=census_year)
+    return Corpus._from_columns(census_year, first_year,
+                                *_checked_columns(records, census_year, first_year, line_nos))
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:

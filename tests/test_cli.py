@@ -489,3 +489,44 @@ def test_plot_of_a_unit_id_xml_forbids_is_one_line_error(tmp_path, capsys, unit)
     assert capsys.readouterr().err.splitlines() == [
         f"error: unit id {unit!r} holds a character XML 1.0 forbids"]
     assert not out.exists()
+
+
+def test_score_of_an_empty_units_list_is_one_line_error(workdir, tmp_path, capsys):
+    out = tmp_path / "scores.csv"
+    assert main(["score", "--corpus", str(workdir / "corpus.jsonl"), "--census", "2009",
+                 "--units", ",", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --units got an empty list"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, value, message", [
+    (None, 2 ** 64, "seed must be a 64-bit unsigned integer"),
+    (None, -1, "seed must be a 64-bit unsigned integer"),
+    ("units", 5, "units[0] must be a JSON object"),
+])
+def test_config_out_of_range_is_one_line_error(tmp_path, capsys, section, value, message):
+    config = json.loads(json.dumps(CONFIG))
+    if section is None:
+        config["seed"] = value
+    else:
+        config[section][0] = value
+    config_path, out = tmp_path / "config.json", tmp_path / "c.jsonl"
+    config_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: bad simulation config: {message}"]
+    assert not out.exists()
+
+
+def test_rank_of_a_unit_id_stdout_cannot_encode_is_one_line_error(tmp_path, monkeypatch):
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(SCORES_CSV.replace(b"u1,", "\u00e9lan,".encode()))
+    args = ("-m", "citnorm", "rank", "--scores", str(scores), "--by", "mncs1", "--top", "2")
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8")
+    written = run_module(*args)
+    assert written.returncode == 0 and "\u00e9lan" in written.stdout, written.stderr
+    monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+    refused = run_module(*args)
+    assert refused.returncode == 1
+    assert refused.stdout == ""
+    # stderr escapes what it cannot encode, so the message stays one line
+    assert refused.stderr.splitlines() == [r"error: cannot write '\xe9' to stdout as ascii"]

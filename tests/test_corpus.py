@@ -5,6 +5,7 @@ import copy
 import json
 import pickle
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,3 +467,62 @@ def test_writer_matches_json_dumps_byte_for_byte(tmp_path_factory, corpus):
     assert path.read_bytes() == expected.encode("ascii")
     again = parse_corpus(path, census_year=corpus.census_year, first_year=corpus.first_year)
     assert again == corpus
+
+
+# --- the one corpus-level check ----------------------------------------------
+
+# (publications, census year, first year, the first fault without its line number)
+ONE_CHECK_CASES = {
+    "year outside the window": (
+        [make_pub("P1", year=1999)], 2010, 2000,
+        "publication P1: pub_year 1999 outside [2000, 2010]"),
+    "by-year gap": (
+        [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2010: 5})], 2010, 2000,
+        "publication P1: citations_by_year must cover every year from 2008 to 2010 with no gaps"),
+    "by-year end not the total": (
+        [make_pub("P1", year=2009, citations=5, by_year={2009: 1, 2010: 4})], 2010, 2000,
+        "publication P1: citations_by_year at census year 2010 does not equal citations_total"),
+    "duplicate id": (
+        [make_pub("P1"), make_pub("P2"), make_pub("P1")], 2010, 2000, "duplicate id P1"),
+    "first year after census, no records": (
+        [], 2005, 2006, "first_year 2006 is after census_year 2005"),
+    # several faults: the first in the order parse_corpus finds them
+    "span before first year after census": (
+        [make_pub("P1", year=2005)], 2005, 2006,
+        "publication P1: pub_year 2005 outside [2006, 2005]"),
+    "first span fault in the order given": (
+        [make_pub("P2", year=1999), make_pub("P1", year=1998)], 2010, 2000,
+        "publication P2: pub_year 1999 outside [2000, 2010]"),
+    "duplicate before span": (
+        [make_pub("P2", year=1999), make_pub("P1"), make_pub("P2")], 2010, 2000,
+        "duplicate id P2"),
+    "first duplicate in the order given": (
+        [make_pub("B"), make_pub("A"), make_pub("B"), make_pub("A")], 2010, 2000,
+        "duplicate id B"),
+}
+
+
+@pytest.mark.parametrize("pubs, census, first, message", ONE_CHECK_CASES.values(),
+                         ids=ONE_CHECK_CASES.keys())
+def test_corpus_reports_the_fault_parse_corpus_reports(tmp_path, pubs, census, first, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(map(reference_jsonl_line, pubs)))
+    with pytest.raises(ValidationError) as parsed:
+        parse_corpus(path, census_year=census, first_year=first)
+    assert re.sub(r"^line \d+: ", "", str(parsed.value)) == message
+    with pytest.raises(ValidationError) as built:
+        Corpus(pubs, census_year=census, first_year=first)
+    assert str(built.value) == message
+
+
+def test_a_corpus_is_frozen_and_equals_only_a_corpus():
+    corpus = make_corpus([make_pub("P1")])
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'ids'"):
+        corpus.ids = ()
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'ids'"):
+        del corpus.ids
+    with pytest.raises(FrozenInstanceError):
+        corpus._publications = ()
+    assert corpus.ids == ("P1",) and corpus.publications[0].id == "P1"
+    assert (corpus == 5) is False and corpus != 5
+    assert corpus == make_corpus([make_pub("P1")])

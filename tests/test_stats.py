@@ -302,6 +302,15 @@ class TestAgeCorrelationMatrix:
         with pytest.raises(ValidationError, match="same publication year"):
             age_correlation_matrix(pubs)
 
+    def test_no_publications_rejected(self):
+        with pytest.raises(ValidationError, match="^no publications given$"):
+            age_correlation_matrix([])
+
+    def test_different_year_ranges_rejected(self):
+        pubs = [cohort_pub("a", 2000, [1, 2, 3]), cohort_pub("b", 2000, [1, 2])]
+        with pytest.raises(ValidationError, match="^publications must cover the same year range$"):
+            age_correlation_matrix(pubs)
+
     def test_matrix_csv_layout(self, tmp_path):
         pubs = [cohort_pub("a", 2000, [0, 1, 4]), cohort_pub("b", 2000, [0, 2, 3])]
         path = tmp_path / "matrix.csv"
