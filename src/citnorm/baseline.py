@@ -20,27 +20,28 @@ from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Corpus, Publication, _write_text
+from .corpus import _MAX_CITATIONS, Corpus, Publication, _write_text
 from .errors import ValidationError
 
 _CSV_HEADER = ["field_id", "pub_year", "mean_citations", "cell_size"]
 # Nonzero cell means: one of whole counts is at least 1/cell_size, and within the range every
 # ratio and sum the indicators take is finite (math.fsum raises OverflowError beyond it).
 # The CSV admits only the means compute_baselines writes at 6 decimals.
-_MIN_MEAN, _MIN_CSV_MEAN, _MAX_MEAN = 2.0 ** -53, 0.000001, float(2 ** 53 - 1)
+_MIN_MEAN, _MIN_CSV_MEAN, _MAX_MEAN = 2.0 ** -53, 0.000001, float(_MAX_CITATIONS)
 
 
 @dataclass(frozen=True)
 class BaselineCell:
-    """A cell's mean citation count, 0 or in [2**-53, 2**53 - 1], and its number of
-    publications, an integer of at least 1; any other cell is a :class:`ValidationError`."""
+    """A cell's mean citation count, 0 or in [2**-53, 2**53 - 1] and no bool, and its number
+    of publications, an integer of at least 1; any other cell is a :class:`ValidationError`."""
 
     mean_citations: float
     cell_size: int
 
     def __post_init__(self) -> None:
         mean, size = self.mean_citations, self.cell_size
-        if not (mean == 0 or _MIN_MEAN <= mean <= _MAX_MEAN) or type(size) is not int or size < 1:
+        if (type(mean) is bool or not (mean == 0 or _MIN_MEAN <= mean <= _MAX_MEAN)
+                or type(size) is not int or size < 1):
             raise ValidationError(f"invalid baseline cell: mean {mean!r}, size {size!r}")
 
 

@@ -34,9 +34,9 @@ makes (:func:`_check_ids`, :func:`_check_counts`); the id's uniqueness. Once all
 lines are read and the census year is known (when not given, the largest year the
 records carry), :func:`_checked_columns` checks them as for ``Corpus(publications)``.
 
-A :class:`Corpus` stores one column per fact (ids, years, totals, document
-types, unit and field id tuples, and one by-year row per publication), not
-one object per record, and always holds them. :func:`parse_corpus` and the
+A :class:`Corpus` stores one column per fact, in the order above (ids, unit and
+field id tuples, years, document types, totals, one by-year row per publication),
+not one object per record, and always holds them. :func:`parse_corpus` and the
 simulator fill the columns directly; writing, baselines, scoring and the
 selections below read them. :class:`Publication` objects are built from the
 columns only where a caller asks for them: ``corpus.publications`` and
@@ -63,9 +63,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
-_REQUIRED_KEYS = ("id", "unit_ids", "field_ids", "pub_year", "doc_type", "citations_total")
-_REQUIRED = frozenset(_REQUIRED_KEYS)
-_ALL_KEYS = _REQUIRED | {"citations_by_year"}
 # Largest integer a float64 holds exactly; indicator arithmetic converts counts to float.
 _MAX_CITATIONS = 2 ** 53 - 1
 _INT_ONLY = frozenset({int})
@@ -91,6 +88,10 @@ class Publication:
     citations_by_year: dict[int, int] | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.unit_ids, str) or isinstance(self.field_ids, str):
+            raise ValidationError(f"publication {self.id}: unit_ids or field_ids is a string")
+        if not isinstance(self.doc_type, str):
+            raise ValidationError(f"publication {self.id}: doc_type must be a string")
         object.__setattr__(self, "unit_ids", tuple(self.unit_ids))
         object.__setattr__(self, "field_ids", tuple(self.field_ids))
         _check_ids(self.id, self.field_ids, self.unit_ids)
@@ -178,10 +179,12 @@ def _row(counts: dict[int, int] | None, year: int) -> tuple[int, ...] | None:
     return ()
 
 
-# The Corpus columns, and the Publication attribute behind each, in column order
-_COLUMNS = ("ids", "pub_years", "totals", "doc_types", "units", "fields", "by_year")
-_COLUMN_ATTRS = ("id", "pub_year", "citations_total", "doc_type", "unit_ids", "field_ids",
-                 "citations_by_year")
+# A record's facts come in Publication's field order, the one order of the JSONL keys, the
+# Corpus columns and the reader's record tuples; every key but citations_by_year is required.
+_REQUIRED_KEYS = Publication.__slots__[:-1]
+_ALL_KEYS = frozenset(Publication.__slots__)
+_required_values = itemgetter(*_REQUIRED_KEYS)
+_COLUMNS = ("ids", "units", "fields", "pub_years", "doc_types", "totals", "by_year")
 
 
 def _checked_columns(records: Sequence[tuple], census: int, first: int,
@@ -201,7 +204,7 @@ def _checked_columns(records: Sequence[tuple], census: int, first: int,
         index: dict[str, int] = {}  # the first record whose id an earlier one holds is named
         i = next(i for i, pid in enumerate(ids) if index.setdefault(pid, i) != i)
         raise error(i, f"duplicate id {ids[i]}")
-    for i, (pid, year, total, _, _, _, row) in enumerate(records):
+    for i, (pid, _, _, year, _, total, row) in enumerate(records):
         if not first <= year <= census:
             fault = f"pub_year {year} outside [{first}, {census}]"
         elif row is not None and year + len(row) - 1 != census:
@@ -224,15 +227,15 @@ class Corpus:
 
     Citations are counted until the end of ``census_year``; every publication
     year must fall inside [first_year, census_year]. The corpus is stored as
-    columns, tuples whose i-th entries describe the publication with the i-th
-    smallest id:
+    columns, in :class:`Publication`'s field order, tuples whose i-th entries describe
+    the publication with the i-th smallest id:
 
         ids         the ids, strictly increasing
-        pub_years   publication years
-        totals      ``citations_total`` values
-        doc_types   document type labels
         units       ``unit_ids`` tuples, as listed (a repeated id is kept)
         fields      ``field_ids`` tuples, as listed
+        pub_years   publication years
+        doc_types   document type labels
+        totals      ``citations_total`` values
         by_year     cumulative counts for each year from ``pub_year`` to
                     ``census_year``, or None when the record has none
 
@@ -248,7 +251,7 @@ class Corpus:
 
     def __init__(self, publications: Iterable[Publication], census_year: int,
                  first_year: int) -> None:
-        values = attrgetter(*_COLUMN_ATTRS[:6])
+        values = attrgetter(*_REQUIRED_KEYS)
         records = [(*values(pub), _row(pub.citations_by_year, pub.pub_year))
                    for pub in publications]
         _fill(self, census_year, first_year, *_checked_columns(records, census_year, first_year))
@@ -313,16 +316,15 @@ def _materialize(corpus: Corpus, indices: Sequence[int] | None) -> tuple[Publica
     columns = _state(corpus)[2:]
     if indices is not None:
         columns = [list(map(column.__getitem__, indices)) for column in columns]
-    years, rows = columns[1], columns[6]
+    years, rows = columns[3], columns[6]
     # a row spans its year to the census year, so no tail is longer than a row
     tails = {year: tuple(range(year, corpus.census_year + 1))
              for year in {year for year, row in zip(years, rows) if row is not None}}
     counts = (None if row is None else dict(zip(tails[year], row))
               for year, row in zip(years, rows))
     pubs = tuple(map(object.__new__, repeat(Publication, len(years))))
-    by_attr = dict(zip(_COLUMN_ATTRS, (*columns[:6], counts)))
-    for attr, set_slot in zip(Publication.__slots__, _SLOT_SETTERS):
-        deque(map(set_slot, pubs, by_attr[attr]), maxlen=0)
+    for set_slot, column in zip(_SLOT_SETTERS, (*columns[:6], counts)):
+        deque(map(set_slot, pubs, column), maxlen=0)
     return pubs
 
 
@@ -357,7 +359,7 @@ class _RecordReader:
         self.key_years: dict[tuple[str, ...], tuple] = {}
         self.doc_types: dict[str, str] = {}
         self.ids: set[str] = set()
-        # (id, pub_year, citations_total, doc_type, unit_ids, field_ids, by-year row)
+        # (id, unit_ids, field_ids, pub_year, doc_type, citations_total, by-year row)
         self.records: list[tuple] = []
 
     def read(self, obj) -> None:
@@ -368,8 +370,7 @@ class _RecordReader:
             unknown = next(key for key in obj if key not in _ALL_KEYS)
             raise ValidationError(f"unknown key '{unknown}'")
         try:
-            pid, units, fields = obj["id"], obj["unit_ids"], obj["field_ids"]
-            year, doc_type, total = obj["pub_year"], obj["doc_type"], obj["citations_total"]
+            pid, units, fields, year, doc_type, total = _required_values(obj)
         except KeyError:
             missing = next(key for key in _REQUIRED_KEYS if key not in obj)
             raise ValidationError(f"missing key '{missing}'") from None
@@ -401,8 +402,8 @@ class _RecordReader:
         self.ids.add(pid)
         if row is not None and start != year:
             row = ()  # the keys are no run of years from pub_year: the row covers no span
-        self.records.append((pid, year, total, self.doc_types.setdefault(doc_type, doc_type),
-                             unit_ids, field_ids, row))
+        self.records.append((pid, unit_ids, field_ids, year,
+                             self.doc_types.setdefault(doc_type, doc_type), total, row))
 
     def _years(self, keys: tuple[str, ...]) -> tuple:
         """The years that by-year ``keys`` name, ascending; the order that sorts the values
@@ -473,10 +474,10 @@ def parse_corpus(path: str | Path, census_year: int | None = None,
     if census_year is None:
         if not records:
             raise ValidationError(f"cannot infer a census year from {path}")
-        census_year = max(chain(map(itemgetter(1), records),
+        census_year = max(chain(map(itemgetter(3), records),
                                 (keys[-1] for keys, _, _ in reader.key_years.values() if keys)))
     if first_year is None:
-        first_year = min(map(itemgetter(1), records), default=census_year)
+        first_year = min(map(itemgetter(3), records), default=census_year)
     return Corpus._from_columns(census_year, first_year,
                                 *_checked_columns(records, census_year, first_year, line_nos))
 
@@ -492,9 +493,7 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
     census = corpus.census_year
     year_keys: dict[int, list[str]] = {}  # '"year":' from a publication year to the census
     lines = []
-    for pid, units, fields, year, doc_type, total, row in zip(
-            corpus.ids, corpus.units, corpus.fields, corpus.pub_years, corpus.doc_types,
-            corpus.totals, corpus.by_year):
+    for pid, units, fields, year, doc_type, total, row in zip(*_state(corpus)[2:]):
         line = (
             f'{{"id":{_json_str(pid)},"unit_ids":[{",".join(map(_json_str, units))}],'
             f'"field_ids":[{",".join(map(_json_str, fields))}],"pub_year":{year},'

@@ -150,6 +150,8 @@ def score_units(
     its publications. Cost is corpus size plus unit memberships, no
     publication is built, and other units' publications are never looked up.
     """
+    if isinstance(unit_ids, str):
+        raise ValidationError("unit_ids must be a collection of unit ids, not a string")
     wanted = None if unit_ids is None else set(unit_ids)
     expected: dict[tuple[tuple[str, ...], int], float] = {}
     es: list[float] = [0.0] * len(corpus)

@@ -237,8 +237,8 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
         years.extend(map(year_objects.__getitem__, pub_years.tolist()))
         units.extend(repeat((unit.unit_id,), n))
         fields.extend(map(field_ids.__getitem__, field_idx.tolist()))
-    return Corpus._from_columns(census, first, ids, years, totals, repeat("article", total),
-                                units, fields, rows)
+    return Corpus._from_columns(census, first, ids, units, fields, years,
+                                repeat("article", total), totals, rows)
 
 
 def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> np.ndarray:

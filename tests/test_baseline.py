@@ -269,3 +269,9 @@ def test_library_scores_stay_finite_at_the_ends_of_the_cell_range():
     (score,) = score_units(corpus, table)
     values = (score.cpp_fcsm, score.mncs1, score.mncs2)
     assert all(math.isfinite(value) for value in values)
+
+
+@pytest.mark.parametrize("mean", [True, False])
+def test_a_bool_is_no_cell_mean(mean):
+    with pytest.raises(ValidationError, match="^invalid baseline cell: mean "):
+        BaselineCell(mean, 1)

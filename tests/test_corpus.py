@@ -17,6 +17,7 @@ from citnorm.corpus import (
     Publication,
     corpus_to_jsonl,
     parse_corpus,
+    select_cohort,
     select_unit,
     write_corpus,
 )
@@ -526,3 +527,56 @@ def test_a_corpus_is_frozen_and_equals_only_a_corpus():
     assert corpus.ids == ("P1",) and corpus.publications[0].id == "P1"
     assert (corpus == 5) is False and corpus != 5
     assert corpus == make_corpus([make_pub("P1")])
+
+
+@pytest.mark.parametrize("kwargs", [{"units": "ab"}, {"fields": "fg"}])
+def test_a_string_is_no_list_of_ids(kwargs):
+    with pytest.raises(ValidationError,
+                       match="^publication P1: unit_ids or field_ids is a string$"):
+        make_pub("P1", **kwargs)
+
+
+def test_doc_type_must_be_a_string():
+    # write_corpus would otherwise fail on it with a TypeError from json's escaper
+    with pytest.raises(ValidationError, match="^publication P1: doc_type must be a string$"):
+        Publication("P1", ("u1",), ("f1",), 2005, 5, 0)
+
+
+def test_select_cohort_builds_only_its_publications_in_id_order(monkeypatch):
+    corpus = make_corpus([
+        make_pub("P3", fields=("F", "G")), make_pub("P1", field="F"), make_pub("P2", field="G"),
+        make_pub("P0", field="F", year=2006), make_pub("P4", fields=("G", "F"), units=()),
+    ])
+    builds, materialize = [], corpus_module._materialize
+    monkeypatch.setattr(corpus_module, "_materialize",
+                        lambda *args: builds.append(list(args[1])) or materialize(*args))
+    cohort = select_cohort(corpus, "F", 2005)
+    assert builds == [[1, 3, 4]], "built publications outside the cohort"
+    assert [pub.id for pub in cohort] == ["P1", "P3", "P4"]
+    monkeypatch.setattr(corpus_module, "_materialize", materialize)
+    assert cohort == [pub for pub in corpus.publications
+                      if pub.pub_year == 2005 and "F" in pub.field_ids]
+    assert select_cohort(corpus, "F", 2007) == [] and select_cohort(corpus, "H", 2005) == []
+
+
+def test_columns_and_jsonl_keys_come_in_publication_field_order(tmp_path):
+    pubs = [make_pub("P2", fields=("F", "G"), units=("A", "B"), year=2009, citations=3,
+                     by_year={2009: 1, 2010: 3}),
+            make_pub("P1", units=(), citations=4)]
+    built = make_corpus(pubs)
+    write_corpus(built, tmp_path / "corpus.jsonl")
+    parsed = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    simulated = generate_corpus(config_from_dict({
+        "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
+        "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 4}],
+        "first_year": 2005, "census_year": 2010, "seed": 3}))
+    by_id = sorted(pubs, key=lambda pub: pub.id)
+    for corpus, expected in ((built, by_id), (parsed, by_id), (simulated, simulated.publications)):
+        columns = [getattr(corpus, name) for name in corpus_module._COLUMNS]
+        for column, name in zip(columns[:-1], Publication.__slots__):
+            assert column == tuple(getattr(pub, name) for pub in expected), name
+        lines = corpus_to_jsonl(corpus).splitlines()
+        assert any(len(json.loads(line)) == 7 for line in lines)
+        for line in lines:
+            keys = tuple(json.loads(line))
+            assert keys == Publication.__slots__[:len(keys)] and len(keys) >= 6

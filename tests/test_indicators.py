@@ -551,3 +551,10 @@ def test_read_scores_accepts_counts_at_their_bounds(tmp_path):
                     encoding="utf-8")
     assert [(s.n_total, s.n_mncs2, s.n_excluded_zero_e) for s in read_scores(path)] == [
         (1, 0, 1), (2, 2, 2)]
+
+
+def test_score_units_rejects_a_string_of_unit_ids():
+    corpus = make_corpus([make_pub("P1", units=("a",)), make_pub("P2", units=("b",))])
+    with pytest.raises(ValidationError,
+                       match="^unit_ids must be a collection of unit ids, not a string$"):
+        score_units(corpus, compute_baselines(corpus), "ab")
