@@ -32,15 +32,17 @@ _MIN_MEAN, _MIN_CSV_MEAN, _MAX_MEAN = 2.0 ** -53, 0.000001, float(_MAX_CITATIONS
 
 @dataclass(frozen=True)
 class BaselineCell:
-    """A cell's mean citation count, 0 or in [2**-53, 2**53 - 1] and no bool, and its number
-    of publications, an integer of at least 1; any other cell is a :class:`ValidationError`."""
+    """A cell's mean citation count, an int or float (no bool) that is 0 or in [2**-53, 2**53 - 1],
+    and its number of publications, an integer of at least 1; any other cell is a
+    :class:`ValidationError`."""
 
     mean_citations: float
     cell_size: int
 
     def __post_init__(self) -> None:
         mean, size = self.mean_citations, self.cell_size
-        if (type(mean) is bool or not (mean == 0 or _MIN_MEAN <= mean <= _MAX_MEAN)
+        if (type(mean) is bool or not isinstance(mean, (int, float))
+                or not (mean == 0 or _MIN_MEAN <= mean <= _MAX_MEAN)
                 or type(size) is not int or size < 1):
             raise ValidationError(f"invalid baseline cell: mean {mean!r}, size {size!r}")
 

@@ -25,7 +25,7 @@ or ``"02008"`` is rejected, not read as 2008. Unknown keys are rejected by name.
 Publications are kept in ascending id order everywhere, so every listing of
 them, written or returned, comes in one order.
 
-:func:`parse_corpus` reads a file once and takes every record through one
+:func:`parse_corpus` reads a file as a stream and takes every record through one
 ordered pass of checks, the first fault ending the read with its line number:
 the line's UTF-8 and JSON; the raw record's shape (an object, unknown keys,
 missing keys, array id lists, a string ``doc_type``, the by-year object and
@@ -33,6 +33,13 @@ its keys); the values, through the same two checks that :class:`Publication`
 makes (:func:`_check_ids`, :func:`_check_counts`); the id's uniqueness. Once all
 lines are read and the census year is known (when not given, the largest year the
 records carry), :func:`_checked_columns` checks them as for ``Corpus(publications)``.
+
+Lines are decoded in batches of 32 non-blank lines, one ``json.loads`` call per batch
+(:func:`_read_batches`). A batch counts only if every line's first non-whitespace
+character is ``{``, the batch passes the UTF-8 screen, it decodes, it gives one element
+per line, and every element passes the record checks. At any other batch the file is
+read again from line 1 by the per-line reader (:func:`_read_lines`), the only path that
+reports a record's fault; on a valid file it never runs.
 
 A :class:`Corpus` stores one column per fact, in the order above (ids, unit and
 field id tuples, years, document types, totals, one by-year row per publication),
@@ -54,6 +61,7 @@ import os
 import stat
 import sys
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -98,6 +106,8 @@ class Publication:
         counts = self.citations_by_year
         years = None
         if counts is not None:
+            if not isinstance(counts, Mapping):
+                raise ValidationError(f"publication {self.id}: citations_by_year must be a mapping")
             try:
                 years = sorted(counts)
             except TypeError:  # mixed key types; the check below names the first non-int
@@ -427,7 +437,7 @@ class _RecordReader:
 
 
 def _json_line(line: str):
-    """``json.loads`` of one line, its faults as :class:`ValidationError`.
+    """``json.loads`` of one line, or of a batch of lines, its faults as :class:`ValidationError`.
 
     The file is decoded with ``surrogateescape``, so a byte that is not UTF-8
     arrives here as a lone surrogate, which no valid line holds.
@@ -448,28 +458,97 @@ def _json_line(line: str):
             f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
 
 
+# Non-blank lines decoded per json.loads call. One call per batch shares the decoder's key
+# memo across its records and makes one Python-level call where there were 32. On the
+# 21k-record perfbench cli-cohort corpus (Python 3.11, 2 vCPUs, 40 alternating rounds),
+# parse_corpus took 0.80 of the per-line reader's time at 32 lines (38 of 40 faster) and
+# 0.90 at 1024, whose decoded objects are cold by the time the reader checks them.
+_BATCH_LINES = 32
+
+
+def _read_batches(handle) -> tuple[_RecordReader, list[int]] | None:
+    """The records of ``handle`` and their line numbers, ``_BATCH_LINES`` non-blank lines
+    decoded per ``json.loads`` call; or None, with ``handle`` rewound, at the first batch
+    that is not exactly one valid record per line.
+
+    Lines L1..Ln, each keeping its newline, are decoded as one array ``[L1,...,Ln]``. The
+    batch counts only if every line's first non-whitespace character is ``{``, the text
+    passes the UTF-8 screen, it decodes, the array has n elements and :meth:`_RecordReader.read`
+    takes every one. Then element i equals ``json.loads(Li)``:
+
+    - no value runs across a line end inside a string: a raw newline in a string is a
+      decode error;
+    - a line end inside an object is followed by the joining ``,``, after which an object
+      expects a key, and the next line starts with ``{``. So a merge across a line end can
+      only put an object inside an array, and ``read`` rejects that in any record;
+    - with no merge possible, each line starts at least one element, and n elements for n
+      lines rule out two records on one line.
+    """
+    reader, line_nos, batch = _RecordReader(), [], []
+    try:
+        for line_no, line in enumerate(handle, start=1):
+            if line[0] != "{":
+                text = line.lstrip()
+                if not text:
+                    continue
+                if text[0] != "{":
+                    raise ValidationError("the line starts no object")
+            batch.append(line)
+            line_nos.append(line_no)
+            if len(batch) == _BATCH_LINES:
+                _read_batch(reader, batch)
+                batch = []
+        _read_batch(reader, batch)
+    except ValidationError:
+        handle.seek(0)
+        return None
+    return reader, line_nos
+
+
+def _read_batch(reader: _RecordReader, lines: list[str]) -> None:
+    """Read ``lines`` into ``reader`` as one array of one record per line, or raise."""
+    records = _json_line(f"[{','.join(lines)}]")
+    if len(records) != len(lines):
+        raise ValidationError("not one record per line")
+    deque(map(reader.read, records), maxlen=0)
+
+
+def _read_lines(handle) -> tuple[_RecordReader, list[int]]:
+    """The records of ``handle`` and their line numbers, one ``json.loads`` per non-blank
+    line: the reference that the batches must equal, and the only reader that reports a
+    record's fault, with its line number."""
+    reader, line_nos = _RecordReader(), []
+    for line_no, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        try:
+            reader.read(_json_line(line))
+        except ValidationError as exc:
+            raise ValidationError(f"line {line_no}: {exc}") from None
+        line_nos.append(line_no)
+    return reader, line_nos
+
+
 def parse_corpus(path: str | Path, census_year: int | None = None,
                  first_year: int | None = None) -> Corpus:
     """Parse a JSON Lines publication file into a validated :class:`Corpus`.
 
-    The file is read once, into columns; no :class:`Publication` is built.
+    The file is read as a stream, into columns; no :class:`Publication` is built.
+    Batches of 32 non-blank lines are decoded with one ``json.loads`` call each, and a
+    batch counts only if every line starts with ``{`` after whitespace, the batch passes
+    the UTF-8 screen, it decodes, it gives one element per line, and every element passes
+    the record checks. At any other batch the file is read again from line 1 with one
+    ``json.loads`` per line, the only path that reports a record's fault, so a fault is
+    named as a per-line read names it. A stream that cannot rewind, such as a pipe, is
+    read that way from the start.
     ``census_year`` defaults to the largest year the records carry, as
     ``pub_year`` or as a ``citations_by_year`` key; ``first_year`` defaults
     to the earliest ``pub_year``. A record's own faults are reported as its
     line is read, its span and by-year coverage after the read, once the
     census year is known. A record's fault names its line.
     """
-    reader = _RecordReader()
-    line_nos: list[int] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                reader.read(_json_line(line))
-            except ValidationError as exc:
-                raise ValidationError(f"line {line_no}: {exc}") from None
-            line_nos.append(line_no)
+        reader, line_nos = (handle.seekable() and _read_batches(handle)) or _read_lines(handle)
     records = reader.records
     if census_year is None:
         if not records:

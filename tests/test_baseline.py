@@ -239,6 +239,7 @@ def test_read_accepts_only_means_compute_baselines_can_write(tmp_path, mean, acc
     (5e-324, 1),  # cpp_fcsm = inf, which write_scores wrote into the CSV
     (math.inf, 1), (-math.inf, 1), (2.0 ** -54, 1), (2.0 ** 53, 1),
     (1.0, 0), (1.0, -2), (1.0, 1.0), (1.0, True), (1.0, "3"),
+    ("3", 1), (None, 1), (1 + 0j, 1),  # before, a TypeError from the range comparison
 ])
 def test_cell_outside_its_range_is_rejected(mean, size):
     with pytest.raises(ValidationError, match="^invalid baseline cell: mean "):

@@ -298,16 +298,18 @@ def test_census_inferring_run_reads_each_line_once(workdir, tmp_path, monkeypatc
     corpus = tmp_path / "corpus.jsonl"
     lines = (workdir / "corpus.jsonl").read_text().splitlines()
     corpus.write_text("\n".join(lines[:5] + ["", "  "] + lines[5:]) + "\n")
-    loads, calls = json.loads, []
+    loads, decoded = json.loads, []
 
     def counting_loads(*args, **kwargs):
-        calls.append(args[0])
-        return loads(*args, **kwargs)
+        decoded.append(loads(*args, **kwargs))
+        return decoded[-1]
 
     monkeypatch.setattr(json, "loads", counting_loads)
     assert main(["trajectory", "--corpus", str(corpus), "--field", "fast", "--pub-year", "2000",
                  "--out", str(tmp_path / "traj.csv")]) == 0
-    assert len(calls) == len(lines)
+    # every call decoded a batch (the per-line reader returns no list), one record per line
+    assert all(type(records) is list for records in decoded)
+    assert sum(map(len, decoded)) == len(lines)
 
 
 def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import pickle
 import re
+import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -26,6 +28,7 @@ from citnorm.indicators import score_units
 from citnorm.simulate import config_from_dict, generate_corpus
 
 from conftest import make_corpus, make_pub
+from test_ingest_fuzz import outcome, reference_parse
 
 
 def write_jsonl(path, objs):
@@ -580,3 +583,93 @@ def test_columns_and_jsonl_keys_come_in_publication_field_order(tmp_path):
         for line in lines:
             keys = tuple(json.loads(line))
             assert keys == Publication.__slots__[:len(keys)] and len(keys) >= 6
+
+
+def test_publication_rejects_by_year_counts_that_are_no_mapping():
+    # before, [1] and (1, 2) raised IndexError, 5 TypeError, and "ab" named the year 'a'
+    for counts in ([1], (1, 2), 5, "ab"):
+        with pytest.raises(ValidationError,
+                           match="^publication P1: citations_by_year must be a mapping$"):
+            make_pub("P1", by_year=counts)
+
+
+# Lines that a reader decoding several lines per json.loads call could misread. Four hold
+# two records on one line, so that a batch's element count still equals its line count;
+# each case gives the line (counted from its first) and the fault a per-line reader names.
+def _line(i: int, **overrides) -> str:
+    return json.dumps(record(f"P{i:03d}", **overrides))
+
+
+_PAIR = _line(900) + "," + _line(901)
+_MALFORMED = "malformed JSON: "
+BATCH_TRAPS = {
+    "split-object": (["{\"a\":", "1}"], 1, _MALFORMED),
+    "split-record": ([_line(1).replace(', "field_ids"', '\n"field_ids"'), _PAIR], 1, _MALFORMED),
+    "split-unit-ids": ([_PAIR, _line(2).replace('["u1"]', '["u1"\n{"x": 1}]')], 1, _MALFORMED),
+    "split-string": ([_line(3, doc_type="a},@{b").replace("@", "\n"), _PAIR], 1, _MALFORMED),
+    "two-records": ([_line(4), _PAIR], 2, _MALFORMED),
+    "bracket-after": ([_line(5) + "]", _line(6)], 1, _MALFORMED),
+    "last-bracket-after": ([_line(5), _line(6) + "]"], 2, _MALFORMED),
+    "garbage-after": ([_line(7) + " x", _line(8)], 1, _MALFORMED),
+    # a byte that is not UTF-8 arrives as a lone surrogate, which json.loads takes in a string
+    "not-utf8": ([_line(9), _line(10, doc_type="a@b").replace("@", "\udcff")], 2,
+                 "not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("lead", [0, 40], ids=["first-batch", "later-batch"])
+@pytest.mark.parametrize("lines, line, fault", BATCH_TRAPS.values(), ids=BATCH_TRAPS)
+def test_lines_a_batch_could_misread_read_as_the_per_line_reader_reads_them(
+        tmp_path, lines, line, fault, lead):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(_line(i) + "\n" for i in range(100, 100 + lead))
+                    + "\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+    found = outcome(parse_corpus, path)
+    assert found == outcome(reference_parse, path)
+    assert found[0] == "error" and found[1].startswith(f"line {lead + line}: {fault}")
+
+
+@pytest.mark.parametrize("at", [33, 70])
+def test_a_fault_in_a_later_batch_names_its_own_line(tmp_path, at):
+    lines = [_line(i) for i in range(70)]
+    lines[at - 1] = _line(at - 1, citations_total=-1)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    found = outcome(parse_corpus, path)
+    assert found == outcome(reference_parse, path)
+    assert found == ("error", f"line {at}: publication P{at - 1:03d}: negative citation count")
+
+
+def test_a_valid_file_is_read_in_batches_alone(tmp_path, monkeypatch):
+    # leading whitespace, CRLF line ends, blank lines and no final newline, over three batches
+    lines = ["  " + _line(i) if i % 3 else "\t" + _line(i) for i in range(69)]
+    lines.append(_line(69, pub_year=2006))
+    lines[40:40] = ["", "  "]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    expected = reference_parse(path)
+
+    def per_line(handle):
+        raise AssertionError("the per-line reader ran on a valid file")
+
+    monkeypatch.setattr(corpus_module, "_read_lines", per_line)
+    assert parse_corpus(path) == expected and len(expected) == 70
+    # a span fault after the read names the line the batch read it from, blank lines counted
+    with pytest.raises(ValidationError, match="^line 72: publication P069: pub_year 2006 "):
+        parse_corpus(path, census_year=2005)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_stream_that_cannot_rewind_is_read_line_by_line(tmp_path):
+    lines = [_line(i) for i in range(40)]
+    lines[35] = _line(35, citations_total=-1)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("\n".join(lines) + "\n",),
+                              daemon=True)
+    writer.start()
+    with pytest.raises(ValidationError,
+                       match="^line 36: publication P035: negative citation count$"):
+        parse_corpus(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()

@@ -2,7 +2,7 @@
 
 Each example takes a valid JSON Lines file, mutates its bytes (a byte replaced,
 inserted or deleted, a number replaced by another JSON value, two lines joined,
-one line split, or the by-year keys of a record reordered) and reads it twice:
+bare or with a ``,``, one line split, or the by-year keys of a record reordered) and reads it twice:
 with :func:`parse_corpus`, and with the reference reader below, which is
 ``json.loads`` per line plus the public :class:`Publication` and
 :class:`Corpus` constructors, raising faults in the documented order. A second
@@ -122,10 +122,19 @@ RECORDS = [
     {"id": "P0", "unit_ids": ["u2"], "field_ids": ["f2"], "pub_year": 2000,
      "doc_type": "article", "citations_total": 7},
 ]
+# enough records that most mutations land past the reader's first batch of 32 lines
+MANY = [
+    {"id": f"Q{i:02d}", "unit_ids": ["u1", "u2"][:i % 3], "field_ids": ["f1", "f2"][:1 + i % 2],
+     "pub_year": 2000 + i % 11, "doc_type": "article", "citations_total": 10 - i % 11,
+     **({"citations_by_year": {str(y): y - 2000 - i % 11 for y in range(2000 + i % 11, 2011)}}
+        if i % 4 else {})}
+    for i in range(70)
+]
 BASES = [
     "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in RECORDS).encode("utf-8"),
     ("\n".join(json.dumps(obj, separators=(",", ":")) for obj in RECORDS[::-1]) + "\n\n")
     .encode("ascii"),
+    "".join(json.dumps(obj) + "\n" for obj in MANY).encode("ascii"),
 ]
 NUMBERS = re.compile(rb"-?[0-9]+")
 # what a number may become: other counts and years, the bounds, and other JSON types
@@ -153,8 +162,8 @@ def reorder_keys(line: bytes, seed: int) -> bytes:
 def mutated_files(draw) -> bytes:
     data = bytearray(draw(st.sampled_from(BASES)))
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["replace", "insert", "delete", "number", "join", "split",
-                                     "reorder"]))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "number", "join", "pair",
+                                     "split", "reorder"]))
         at = draw(st.integers(0, 10 ** 6)) % (len(data) + 1)
         numbers = list(NUMBERS.finditer(data))
         if kind == "number" and numbers:
@@ -168,11 +177,12 @@ def mutated_files(draw) -> bytes:
             del data[at]
         elif kind == "split":
             data.insert(at, ord("\n"))
-        else:  # join the line holding `at` to the next, or reorder its by-year keys
+        else:  # join the line holding `at` to the next, bare or with `,`, or reorder its keys
             lines = data.split(b"\n")
             index = data.count(b"\n", 0, at)
-            if kind == "join" and index + 1 < len(lines):
-                lines[index:index + 2] = [lines[index] + lines[index + 1]]
+            if kind in ("join", "pair") and index + 1 < len(lines):
+                comma = b"," if kind == "pair" else b""
+                lines[index:index + 2] = [lines[index] + comma + lines[index + 1]]
             elif kind == "reorder":
                 lines[index] = reorder_keys(bytes(lines[index]), draw(st.integers(0, 99)))
             data = bytearray(b"\n".join(lines))
@@ -279,11 +289,12 @@ def test_drawn_records_read_as_the_reference_reader_reads_them(tmp_path_factory,
     assert outcome(parse_corpus, path, **years) == outcome(reference_parse, path, **years)
 
 
-@pytest.mark.parametrize("data", BASES, ids=["unicode", "compact"])
-def test_unmutated_bases_are_valid(tmp_path, data):
+@pytest.mark.parametrize("data, size", zip(BASES, [len(RECORDS), len(RECORDS), len(MANY)]),
+                         ids=["unicode", "compact", "many"])
+def test_unmutated_bases_are_valid(tmp_path, data, size):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-    assert len(parse_corpus(path)) == len(RECORDS)
+    assert len(parse_corpus(path)) == size
     assert parse_corpus(path) == reference_parse(path)
 
 
