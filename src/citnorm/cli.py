@@ -95,7 +95,10 @@ def _load_corpus(args) -> corpus.Corpus:
 
 
 def _cohort(args) -> list[corpus.Publication]:
-    return corpus.select_cohort(_load_corpus(args), args.field, args.pub_year)
+    pubs = corpus.select_cohort(_load_corpus(args), args.field, args.pub_year)
+    if not pubs:
+        raise ValidationError(f"no publications in field '{args.field}', year {args.pub_year}")
+    return pubs
 
 
 def _run(args) -> None:

@@ -34,12 +34,8 @@ makes (:func:`_check_ids`, :func:`_check_counts`); the id's uniqueness. Once all
 lines are read and the census year is known (when not given, the largest year the
 records carry), :func:`_checked_columns` checks them as for ``Corpus(publications)``.
 
-Lines are decoded in batches of 32 non-blank lines, one ``json.loads`` call per batch
-(:func:`_read_batches`). A batch counts only if every line's first non-whitespace
-character is ``{``, the batch passes the UTF-8 screen, it decodes, it gives one element
-per line, and every element passes the record checks. At any other batch the file is
-read again from line 1 by the per-line reader (:func:`_read_lines`), the only path that
-reports a record's fault; on a valid file it never runs.
+Non-blank lines are decoded 32 at a time, one ``json.loads`` per batch; only a batch
+that is not one valid record per line is read again line by line (:func:`_read_batch`).
 
 A :class:`Corpus` stores one column per fact, in the order above (ids, unit and
 field id tuples, years, document types, totals, one by-year row per publication),
@@ -466,15 +462,16 @@ def _json_line(line: str):
 _BATCH_LINES = 32
 
 
-def _read_batches(handle) -> tuple[_RecordReader, list[int]] | None:
-    """The records of ``handle`` and their line numbers, ``_BATCH_LINES`` non-blank lines
-    decoded per ``json.loads`` call; or None, with ``handle`` rewound, at the first batch
-    that is not exactly one valid record per line.
+def _read_batch(reader: _RecordReader, lines: list[str], line_nos: list[int],
+                decode: bool = True) -> None:
+    """Read ``lines`` into ``reader``, decoded as one array if ``decode``, or else one
+    ``json.loads`` per line, which raises the first fault with its line number.
 
     Lines L1..Ln, each keeping its newline, are decoded as one array ``[L1,...,Ln]``. The
-    batch counts only if every line's first non-whitespace character is ``{``, the text
-    passes the UTF-8 screen, it decodes, the array has n elements and :meth:`_RecordReader.read`
-    takes every one. Then element i equals ``json.loads(Li)``:
+    batch counts only if every line's first non-whitespace character is ``{`` (the caller
+    passes ``decode`` false otherwise), the text passes the UTF-8 screen, it decodes, the
+    array has n elements and :meth:`_RecordReader.read` takes every one. Then element i
+    equals ``json.loads(Li)``:
 
     - no value runs across a line end inside a string: a raw newline in a string is a
       decode error;
@@ -483,72 +480,56 @@ def _read_batches(handle) -> tuple[_RecordReader, list[int]] | None:
       only put an object inside an array, and ``read`` rejects that in any record;
     - with no merge possible, each line starts at least one element, and n elements for n
       lines rule out two records on one line.
+
+    Any other batch is undone, its records and their ids, and read again line by line. As
+    lines that each read alone also count as a batch, that read always names a fault. The
+    reader's memos are kept: they hold only values that passed their checks.
     """
-    reader, line_nos, batch = _RecordReader(), [], []
+    kept = len(reader.records)
     try:
-        for line_no, line in enumerate(handle, start=1):
-            if line[0] != "{":
-                text = line.lstrip()
-                if not text:
-                    continue
-                if text[0] != "{":
-                    raise ValidationError("the line starts no object")
-            batch.append(line)
-            line_nos.append(line_no)
-            if len(batch) == _BATCH_LINES:
-                _read_batch(reader, batch)
-                batch = []
-        _read_batch(reader, batch)
+        if decode:
+            records = _json_line(f"[{','.join(lines)}]")
+            if len(records) == len(lines):
+                deque(map(reader.read, records), maxlen=0)
+                return
     except ValidationError:
-        handle.seek(0)
-        return None
-    return reader, line_nos
-
-
-def _read_batch(reader: _RecordReader, lines: list[str]) -> None:
-    """Read ``lines`` into ``reader`` as one array of one record per line, or raise."""
-    records = _json_line(f"[{','.join(lines)}]")
-    if len(records) != len(lines):
-        raise ValidationError("not one record per line")
-    deque(map(reader.read, records), maxlen=0)
-
-
-def _read_lines(handle) -> tuple[_RecordReader, list[int]]:
-    """The records of ``handle`` and their line numbers, one ``json.loads`` per non-blank
-    line: the reference that the batches must equal, and the only reader that reports a
-    record's fault, with its line number."""
-    reader, line_nos = _RecordReader(), []
-    for line_no, line in enumerate(handle, start=1):
-        if not line.strip():
-            continue
+        reader.ids.difference_update(map(itemgetter(0), reader.records[kept:]))
+        del reader.records[kept:]
+    for line_no, line in zip(line_nos, lines):
         try:
             reader.read(_json_line(line))
         except ValidationError as exc:
             raise ValidationError(f"line {line_no}: {exc}") from None
-        line_nos.append(line_no)
-    return reader, line_nos
 
 
 def parse_corpus(path: str | Path, census_year: int | None = None,
                  first_year: int | None = None) -> Corpus:
     """Parse a JSON Lines publication file into a validated :class:`Corpus`.
 
-    The file is read as a stream, into columns; no :class:`Publication` is built.
-    Batches of 32 non-blank lines are decoded with one ``json.loads`` call each, and a
-    batch counts only if every line starts with ``{`` after whitespace, the batch passes
-    the UTF-8 screen, it decodes, it gives one element per line, and every element passes
-    the record checks. At any other batch the file is read again from line 1 with one
-    ``json.loads`` per line, the only path that reports a record's fault, so a fault is
-    named as a per-line read names it. A stream that cannot rewind, such as a pipe, is
-    read that way from the start.
+    The file is read once, as a stream, into columns; no :class:`Publication` is built.
+    Each run of ``_BATCH_LINES`` non-blank lines goes to :func:`_read_batch`. A run ends
+    early at a line whose first non-whitespace character is no ``{``, which no batch decodes.
     ``census_year`` defaults to the largest year the records carry, as
     ``pub_year`` or as a ``citations_by_year`` key; ``first_year`` defaults
     to the earliest ``pub_year``. A record's own faults are reported as its
     line is read, its span and by-year coverage after the read, once the
     census year is known. A record's fault names its line.
     """
+    reader, line_nos, lines = _RecordReader(), [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        reader, line_nos = (handle.seekable() and _read_batches(handle)) or _read_lines(handle)
+        for line_no, line in enumerate(handle, start=1):
+            opens = line[0] == "{"
+            if not opens:  # strip only a line that does not open its object at once
+                text = line.lstrip()
+                if not text:
+                    continue
+                opens = text[0] == "{"
+            lines.append(line)
+            line_nos.append(line_no)
+            if len(lines) == _BATCH_LINES or not opens:
+                _read_batch(reader, lines, line_nos[len(line_nos) - len(lines):], opens)
+                lines = []
+    _read_batch(reader, lines, line_nos[len(line_nos) - len(lines):])
     records = reader.records
     if census_year is None:
         if not records:

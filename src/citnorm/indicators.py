@@ -197,6 +197,8 @@ def rank_units(scores: Sequence[UnitScore], by: str, top: int) -> list[UnitScore
     """
     if by not in INDICATOR_NAMES:
         raise ValidationError(f"unknown indicator '{by}' (expected one of {INDICATOR_NAMES})")
+    if top < 0:
+        raise ValidationError("top must be >= 0")
 
     def key(score: UnitScore):
         value = getattr(score, by)
@@ -204,7 +206,7 @@ def rank_units(scores: Sequence[UnitScore], by: str, top: int) -> list[UnitScore
             return (1, 0.0, score.unit_id)
         return (0, -value, score.unit_id)
 
-    return sorted(scores, key=key)[: max(top, 0)]
+    return sorted(scores, key=key)[:top]
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,8 @@ def correlate_indicators(scores: Sequence[UnitScore], min_pubs: int = 0) -> Corr
     values defined enter; a pair with fewer than two such units is reported
     with undefined correlations.
     """
+    if min_pubs < 0:
+        raise ValidationError("min_pubs must be >= 0")
     if len(scores) < 2:
         raise ValidationError("need at least two units to correlate")
     eligible = [s for s in scores if s.n_total >= min_pubs]

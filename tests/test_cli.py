@@ -107,6 +107,30 @@ def test_correlate_min_pubs(workdir):
     assert all(line.endswith(",2") for line in out.read_text().splitlines()[1:])
 
 
+@pytest.mark.parametrize("command", [
+    ["correlate", "--scores", "{scores}", "--min-pubs", "-4", "--out", "{out}"],
+    ["rank", "--scores", "{scores}", "--by", "mncs1", "--top", "-1"],
+], ids=["correlate", "rank"])
+def test_negative_count_options_are_one_line_errors(workdir, tmp_path, capsys, command):
+    scores, out = tmp_path / "scores.csv", tmp_path / "out.csv"
+    assert main(["score", "--corpus", str(workdir / "corpus.jsonl"), "--census", "2009",
+                 "--units", "all", "--out", str(scores)]) == 0
+    assert main([arg.format(scores=scores, out=out) for arg in command]) == 1
+    captured = capsys.readouterr()
+    option = "min_pubs" if command[0] == "correlate" else "top"
+    assert captured.err == f"error: {option} must be >= 0\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trajectory", "age-corr"])
+def test_an_empty_cohort_is_named(workdir, tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--corpus", str(workdir / "corpus.jsonl"), "--field", "nope",
+                 "--pub-year", "2005", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no publications in field 'nope', year 2005\n"
+    assert not out.exists()
+
+
 def test_trajectory_command(workdir):
     out = workdir / "traj.csv"
     code = main(["trajectory", "--corpus", str(workdir / "corpus.jsonl"),

@@ -593,7 +593,7 @@ def test_publication_rejects_by_year_counts_that_are_no_mapping():
             make_pub("P1", by_year=counts)
 
 
-# Lines that a reader decoding several lines per json.loads call could misread. Four hold
+# Lines that a reader decoding several lines per json.loads call could misread. Five hold
 # two records on one line, so that a batch's element count still equals its line count;
 # each case gives the line (counted from its first) and the fault a per-line reader names.
 def _line(i: int, **overrides) -> str:
@@ -606,6 +606,8 @@ BATCH_TRAPS = {
     "split-object": (["{\"a\":", "1}"], 1, _MALFORMED),
     "split-record": ([_line(1).replace(', "field_ids"', '\n"field_ids"'), _PAIR], 1, _MALFORMED),
     "split-unit-ids": ([_PAIR, _line(2).replace('["u1"]', '["u1"\n{"x": 1}]')], 1, _MALFORMED),
+    # the second half of the record opens no object, so only the "{" check rejects the batch
+    "split-unit-ids-value": ([_PAIR, _line(2).replace('["u1"]', '["u1"\n"u2"]')], 1, _MALFORMED),
     "split-string": ([_line(3, doc_type="a},@{b").replace("@", "\n"), _PAIR], 1, _MALFORMED),
     "two-records": ([_line(4), _PAIR], 2, _MALFORMED),
     "bracket-after": ([_line(5) + "]", _line(6)], 1, _MALFORMED),
@@ -640,6 +642,18 @@ def test_a_fault_in_a_later_batch_names_its_own_line(tmp_path, at):
     assert found == ("error", f"line {at}: publication P{at - 1:03d}: negative citation count")
 
 
+def decoded_texts(monkeypatch) -> list[str]:
+    """The texts the corpus reader hands to ``_json_line``, from now on."""
+    texts, json_line = [], corpus_module._json_line
+
+    def recording(text):
+        texts.append(text)
+        return json_line(text)
+
+    monkeypatch.setattr(corpus_module, "_json_line", recording)
+    return texts
+
+
 def test_a_valid_file_is_read_in_batches_alone(tmp_path, monkeypatch):
     # leading whitespace, CRLF line ends, blank lines and no final newline, over three batches
     lines = ["  " + _line(i) if i % 3 else "\t" + _line(i) for i in range(69)]
@@ -648,19 +662,31 @@ def test_a_valid_file_is_read_in_batches_alone(tmp_path, monkeypatch):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
     expected = reference_parse(path)
-
-    def per_line(handle):
-        raise AssertionError("the per-line reader ran on a valid file")
-
-    monkeypatch.setattr(corpus_module, "_read_lines", per_line)
+    texts = decoded_texts(monkeypatch)
     assert parse_corpus(path) == expected and len(expected) == 70
+    assert len(texts) == 3 and all(text.startswith("[") for text in texts)
     # a span fault after the read names the line the batch read it from, blank lines counted
     with pytest.raises(ValidationError, match="^line 72: publication P069: pub_year 2006 "):
         parse_corpus(path, census_year=2005)
 
 
+def test_a_fault_rereads_only_its_own_batch_line_by_line(tmp_path, monkeypatch):
+    lines = [_line(i) for i in range(100)]
+    lines[69] = _line(69, citations_total=-1)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    texts = decoded_texts(monkeypatch)
+    with pytest.raises(ValidationError,
+                       match="^line 70: publication P069: negative citation count$"):
+        parse_corpus(path)
+    # lines 1-64 in two batches; the third fails, and only its lines 65-70 are read again
+    assert texts[:3] == ["[" + ",".join(line + "\n" for line in lines[i:i + 32]) + "]"
+                         for i in (0, 32, 64)]
+    assert texts[3:] == [line + "\n" for line in lines[64:70]]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
-def test_a_stream_that_cannot_rewind_is_read_line_by_line(tmp_path):
+def test_a_stream_that_cannot_rewind_names_a_fault_in_a_later_batch(tmp_path):
     lines = [_line(i) for i in range(40)]
     lines[35] = _line(35, citations_total=-1)
     fifo = tmp_path / "fifo"

@@ -256,6 +256,12 @@ class TestRankUnits:
         with pytest.raises(ValidationError, match="unknown indicator"):
             rank_units([us("A", cpp=1.0)], by="h_index", top=1)
 
+    def test_negative_top_rejected(self):
+        # before, max(top, 0) turned -1 into an empty ranking
+        with pytest.raises(ValidationError, match="^top must be >= 0$"):
+            rank_units([us("A", cpp=1.0)], by="cpp_fcsm", top=-1)
+        assert rank_units([us("A", cpp=1.0)], by="cpp_fcsm", top=0) == []
+
 
 class TestConsistencyCounterexample:
     def test_witness_found_and_arithmetically_verified(self):

@@ -226,6 +226,11 @@ class TestCorrelateIndicators:
         with pytest.raises(ValidationError, match="two units"):
             correlate_indicators([us("A", 1.0, 1.0, 1.0)])
 
+    def test_negative_min_pubs_rejected(self):
+        scores = [us("A", 1.0, 2.0, 2.0), us("B", 2.0, 4.0, 4.0)]
+        with pytest.raises(ValidationError, match="^min_pubs must be >= 0$"):
+            correlate_indicators(scores, min_pubs=-4)
+
     def test_report_csv(self, tmp_path):
         scores = [us("A", 1.0, 2.0, 2.0), us("B", 2.0, 4.0, 4.0)]
         path = tmp_path / "corr.csv"
