@@ -94,13 +94,6 @@ def _load_corpus(args) -> corpus.Corpus:
     return corpus.parse_corpus(args.corpus, census_year=args.census, first_year=args.first_year)
 
 
-def _cohort(args) -> list[corpus.Publication]:
-    pubs = corpus.select_cohort(_load_corpus(args), args.field, args.pub_year)
-    if not pubs:
-        raise ValidationError(f"no publications in field '{args.field}', year {args.pub_year}")
-    return pubs
-
-
 def _run(args) -> None:
     if args.command == "baselines":
         table = baseline.compute_baselines(_load_corpus(args))
@@ -126,12 +119,14 @@ def _run(args) -> None:
         stats.write_correlation_report(report_, args.out)
 
     elif args.command == "trajectory":
-        traj = stats.trajectory(_cohort(args), args.field, args.pub_year)
+        traj = stats.trajectory(_load_corpus(args), args.field, args.pub_year)
         stats.write_trajectory(traj, args.out)
 
     elif args.command == "age-corr":
-        matrix = stats.age_correlation_matrix(_cohort(args))
-        stats.write_age_matrix(matrix, args.out)
+        cohort = corpus.select_cohort(_load_corpus(args), args.field, args.pub_year)
+        if not cohort:
+            raise ValidationError(f"no publications in field '{args.field}', year {args.pub_year}")
+        stats.write_age_matrix(stats.age_correlation_matrix(cohort), args.out)
 
     elif args.command == "simulate":
         from . import simulate  # numpy loads only for the commands that use it

@@ -39,13 +39,12 @@ that is not one valid record per line is read again line by line (:func:`_read_b
 
 A :class:`Corpus` stores one column per fact, in the order above (ids, unit and
 field id tuples, years, document types, totals, one by-year row per publication),
-not one object per record, and always holds them. :func:`parse_corpus` and the
-simulator fill the columns directly; writing, baselines, scoring and the
-selections below read them. :class:`Publication` objects are built from the
-columns only where a caller asks for them: ``corpus.publications`` and
-iteration build the whole tuple once, on first use, and cache it beside the
-columns; :func:`select_unit` and :func:`select_cohort` build only the
-publications they return.
+not one object per record, and always holds them. :func:`parse_corpus`, the
+simulator and the selections fill the columns directly: :func:`select_unit` and
+:func:`select_cohort` return the corpus of the rows they select and build no
+publication. :class:`Publication` objects are built from the columns only where
+a caller asks for them: ``corpus.publications`` and iteration build the whole
+tuple once, on first use, and cache it beside the columns.
 
 Every file citnorm writes goes through :func:`_write_text`, whole or not at all. An id
 holding a lone surrogate (a ``"\\ud800"`` escape) is an error only there, as UTF-8 cannot hold it.
@@ -171,18 +170,18 @@ def _check_counts(pid: str, year, total, years: Sequence | None,
 _SLOT_SETTERS = tuple(Publication.__dict__[name].__set__ for name in Publication.__slots__)
 
 
-def _row(counts: dict[int, int] | None, year: int) -> tuple[int, ...] | None:
-    """``counts`` as values for ``year``, ``year + 1``, ...
-
-    Expects the distinct integer keys that :class:`Publication` has checked.
-    Keys that are not such a run give the empty row, which covers no span.
-    """
+def _row(counts: dict[int, int] | None, year: int, census: int, spans: dict) -> tuple | None:
+    """``counts``, whose keys :class:`Publication` has checked, as values for ``year`` to
+    ``census``; the empty row, which covers no span, if its keys are not those years.
+    ``spans`` keeps each year's run of years to ``census`` once built."""
     if counts is None:
         return None
-    n = len(counts)
-    if n and min(counts) == year and max(counts) == year + n - 1:  # distinct ints: a run
-        return tuple(map(counts.__getitem__, range(year, year + n)))
-    return ()
+    if len(counts) != census - year + 1:
+        return ()
+    span = spans.get(year) or spans.setdefault(year, tuple(range(year, census + 1)))
+    if tuple(counts) == span:  # keys already ascending, as _materialize builds them
+        return tuple(counts.values())
+    return tuple(map(counts.__getitem__, span)) if counts.keys() == set(span) else ()
 
 
 # A record's facts come in Publication's field order, the one order of the JSONL keys, the
@@ -193,24 +192,23 @@ _required_values = itemgetter(*_REQUIRED_KEYS)
 _COLUMNS = ("ids", "units", "fields", "pub_years", "doc_types", "totals", "by_year")
 
 
-def _checked_columns(records: Sequence[tuple], census: int, first: int,
-                     line_nos: Sequence[int] | None = None) -> tuple[tuple, ...]:
-    """The columns of checked ``records`` (values in ``_COLUMNS`` order) in id order, after
-    the corpus-level checks, the first fault ending them: ids unique, as :func:`parse_corpus`
+def _checked_columns(columns: Sequence[tuple], census: int, first: int,
+                     line_nos: Sequence[int] | None = None) -> Sequence[tuple]:
+    """``columns`` (in ``_COLUMNS`` order) of checked records, in id order, after the
+    corpus-level checks, the first fault ending them: ids unique, as :func:`parse_corpus`
     checks an id as its line is read; each record's span in the order given (its year in
     [first, census], a by-year row to the census with no gaps that ends at its total); then
     ``first`` against ``census``. With ``line_nos``, one per record, a fault names its line."""
     def error(i: int, message: str) -> ValidationError:
         return ValidationError(message if line_nos is None else f"line {line_nos[i]}: {message}")
 
-    columns = tuple(zip(*records)) or ((),) * len(_COLUMNS)
     ids = columns[0]
     ordered = all(map(lt, ids, ids[1:]))  # strictly increasing ids hold no duplicate
     if not ordered and len(set(ids)) < len(ids):
         index: dict[str, int] = {}  # the first record whose id an earlier one holds is named
         i = next(i for i, pid in enumerate(ids) if index.setdefault(pid, i) != i)
         raise error(i, f"duplicate id {ids[i]}")
-    for i, (pid, _, _, year, _, total, row) in enumerate(records):
+    for i, (pid, year, total, row) in enumerate(zip(ids, columns[3], columns[5], columns[6])):
         if not first <= year <= census:
             fault = f"pub_year {year} outside [{first}, {census}]"
         elif row is not None and year + len(row) - 1 != census:
@@ -245,28 +243,30 @@ class Corpus:
         by_year     cumulative counts for each year from ``pub_year`` to
                     ``census_year``, or None when the record has none
 
-    The columns are the only stored form: :func:`parse_corpus` and the simulator
-    fill them, and this constructor derives them from the publications, which it
-    does not keep, through the corpus-level check that :func:`parse_corpus` ends
-    in. ``publications`` and iteration build the :class:`Publication` tuple from
-    the columns on first use and cache it beside them; comparing, pickling and
-    copying read only the columns. Safe for concurrent read access once constructed.
+    The columns are the only stored form: :func:`parse_corpus`, the simulator and
+    the selections fill them, and this constructor derives them from the
+    publications, which it does not keep, through the corpus-level check that
+    :func:`parse_corpus` ends in. ``publications`` and iteration build the
+    :class:`Publication` tuple from the columns on first use and cache it beside
+    them; comparing, pickling and copying read only the columns. Safe for
+    concurrent read access once constructed.
     """
 
     __slots__ = ("census_year", "first_year", *_COLUMNS, "_publications")
 
     def __init__(self, publications: Iterable[Publication], census_year: int,
                  first_year: int) -> None:
-        values = attrgetter(*_REQUIRED_KEYS)
-        records = [(*values(pub), _row(pub.citations_by_year, pub.pub_year))
-                   for pub in publications]
-        _fill(self, census_year, first_year, *_checked_columns(records, census_year, first_year))
+        pubs = tuple(publications)
+        columns = [tuple(map(attrgetter(name), pubs)) for name in Publication.__slots__]
+        columns[6] = tuple(map(_row, columns[6], columns[3], repeat(census_year), repeat({})))
+        _fill(self, census_year, first_year, *_checked_columns(columns, census_year, first_year))
 
     @classmethod
     def _from_columns(cls, census_year: int, first_year: int, *columns) -> Corpus:
         """A corpus over columns (in ``_COLUMNS`` order) that need no check: every
         record has passed the :class:`Publication` checks and the span checks, and
-        the ids are strictly increasing. For :func:`parse_corpus` and the simulator."""
+        the ids are strictly increasing. For :func:`parse_corpus`, the simulator and
+        the selections."""
         corpus = object.__new__(cls)
         _fill(corpus, census_year, first_year, *map(tuple, columns))
         return corpus
@@ -298,7 +298,7 @@ class Corpus:
         """Every publication, ascending by id; built on first use, then kept."""
         pubs = self._publications
         if pubs is None:
-            pubs = _materialize(self, None)
+            pubs = _materialize(self)
             object.__setattr__(self, "_publications", pubs)
         return pubs
 
@@ -312,16 +312,14 @@ def _fill(corpus: Corpus, census_year: int, first_year: int, *columns: tuple) ->
         object.__setattr__(corpus, name, value)
 
 
-def _materialize(corpus: Corpus, indices: Sequence[int] | None) -> tuple[Publication, ...]:
-    """Publications for the records at ``indices`` (all when None), built column by column.
+def _materialize(corpus: Corpus) -> tuple[Publication, ...]:
+    """Every publication of ``corpus``, built column by column.
 
     The corpus's columns hold only checked values, so this is the one place
     that builds a :class:`Publication` without ``__post_init__``. The
     publications share the columns' id strings, id tuples and numbers.
     """
     columns = _state(corpus)[2:]
-    if indices is not None:
-        columns = [list(map(column.__getitem__, indices)) for column in columns]
     years, rows = columns[3], columns[6]
     # a row spans its year to the census year, so no tail is longer than a row
     tails = {year: tuple(range(year, corpus.census_year + 1))
@@ -334,18 +332,23 @@ def _materialize(corpus: Corpus, indices: Sequence[int] | None) -> tuple[Publica
     return pubs
 
 
-def select_unit(corpus: Corpus, unit_id: str) -> list[Publication]:
-    """Publications credited to ``unit_id``, ascending by id (possibly empty)."""
-    return list(_materialize(
-        corpus, [i for i, units in enumerate(corpus.units) if unit_id in units]))
+def _select(corpus: Corpus, indices: list[int]) -> Corpus:
+    """The corpus of the records at ``indices``, ascending, with ``corpus``'s years."""
+    return Corpus._from_columns(corpus.census_year, corpus.first_year, *(
+        map(column.__getitem__, indices) for column in _state(corpus)[2:]))
 
 
-def select_cohort(corpus: Corpus, field_id: str, pub_year: int) -> list[Publication]:
-    """Publications of ``field_id`` published in ``pub_year``, ascending by id."""
-    return list(_materialize(corpus, [
+def select_unit(corpus: Corpus, unit_id: str) -> Corpus:
+    """The corpus of the publications credited to ``unit_id`` (possibly empty)."""
+    return _select(corpus, [i for i, units in enumerate(corpus.units) if unit_id in units])
+
+
+def select_cohort(corpus: Corpus, field_id: str, pub_year: int) -> Corpus:
+    """The corpus of the publications of ``field_id`` published in ``pub_year``."""
+    return _select(corpus, [
         i for i, (fields, year) in enumerate(zip(corpus.fields, corpus.pub_years))
         if year == pub_year and field_id in fields
-    ]))
+    ])
 
 
 class _RecordReader:
@@ -454,11 +457,7 @@ def _json_line(line: str):
             f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
 
 
-# Non-blank lines decoded per json.loads call. One call per batch shares the decoder's key
-# memo across its records and makes one Python-level call where there were 32. On the
-# 21k-record perfbench cli-cohort corpus (Python 3.11, 2 vCPUs, 40 alternating rounds),
-# parse_corpus took 0.80 of the per-line reader's time at 32 lines (38 of 40 faster) and
-# 0.90 at 1024, whose decoded objects are cold by the time the reader checks them.
+# Non-blank lines per json.loads call: one call shares the key memo and the call overhead.
 _BATCH_LINES = 32
 
 
@@ -539,7 +538,8 @@ def parse_corpus(path: str | Path, census_year: int | None = None,
     if first_year is None:
         first_year = min(map(itemgetter(3), records), default=census_year)
     return Corpus._from_columns(census_year, first_year,
-                                *_checked_columns(records, census_year, first_year, line_nos))
+                                *_checked_columns(tuple(zip(*records)) or ((),) * len(_COLUMNS),
+                                                  census_year, first_year, line_nos))
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:

@@ -27,7 +27,7 @@ MARKER = 5
 RED = "#CC0000"
 BLUE = "#0033CC"
 # a character outside XML 1.0's Char production, which no well-formed document holds
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .baseline import _csv_text
-from .corpus import Publication, _write_text
+from .corpus import Corpus, Publication, _write_text, select_cohort
 from .errors import ValidationError
 from .indicators import UnitScore, format_value
 
@@ -152,33 +152,36 @@ class AgeCorrelationMatrix:
     entries: tuple[tuple[float | None, ...], ...]
 
 
-def _year_columns(pubs: Sequence[Publication]) -> dict[int, list[int]]:
-    """Each citation year of same-year publications mapped to their cumulative counts
-    by the end of it, in id order. The publications must share their publication year
-    and the years they count; id order fixes which one a fault names."""
-    if not pubs:
+def _as_corpus(pubs: Corpus | Sequence[Publication]) -> Corpus:
+    """``pubs`` itself if a corpus, else the corpus over them whose census year is the
+    largest year they carry and whose first year is their earliest ``pub_year``."""
+    if isinstance(pubs, Corpus):
+        return pubs
+    years = [pub.pub_year for pub in pubs]
+    keys = [max(pub.citations_by_year) for pub in pubs if pub.citations_by_year]
+    return Corpus(pubs, census_year=max(years + keys, default=0), first_year=min(years, default=0))
+
+
+def _cohort_columns(cohort: Corpus) -> tuple[range, list[tuple[int, ...]]]:
+    """The years a cohort counts and, per year, its counts by the end of it in id order. Its
+    publications must share their year and carry by-year counts, which then span the same years."""
+    if not cohort:
         raise ValidationError("no publications given")
-    ordered = sorted(pubs, key=lambda p: p.id)
-    first = ordered[0]
-    for pub in ordered:
-        if pub.citations_by_year is None:
-            raise ValidationError(f"publication {pub.id}: missing citations_by_year")
-        if pub.pub_year != first.pub_year:
+    first = cohort.pub_years[0]
+    for pid, year, row in zip(cohort.ids, cohort.pub_years, cohort.by_year):
+        if row is None:
+            raise ValidationError(f"publication {pid}: missing citations_by_year")
+        if year != first:
             raise ValidationError("publications must share the same publication year")
-    years = sorted(first.citations_by_year)  # type: ignore[arg-type]
-    for pub in ordered:
-        if sorted(pub.citations_by_year) != years:  # type: ignore[arg-type]
-            raise ValidationError("publications must cover the same year range")
-    return {year: [pub.citations_by_year[year] for pub in ordered]  # type: ignore[index]
-            for year in years}
+    return range(first, cohort.census_year + 1), list(zip(*cohort.by_year))
 
 
-def age_correlation_matrix(pubs: Sequence[Publication]) -> AgeCorrelationMatrix:
+def age_correlation_matrix(pubs: Corpus | Sequence[Publication]) -> AgeCorrelationMatrix:
     """Cross-year citation-count correlations for same-year publications, from
     exact integer moments of the counts (Σx, Σx² per year, Σxy per pair)."""
-    by_year = _year_columns(pubs)
-    years, columns = list(by_year), list(by_year.values())
-    n_pubs, n = len(pubs), len(years)
+    cohort = _as_corpus(pubs)
+    years, columns = _cohort_columns(cohort)
+    n_pubs, n = len(cohort), len(years)
     if n > 1 and n_pubs < 2:
         raise ValidationError("need at least two observations")
     sums = [sum(col) for col in columns]
@@ -205,14 +208,14 @@ class Trajectory:
     means: tuple[tuple[int, float], ...]
 
 
-def trajectory(pubs: Sequence[Publication], field_id: str, pub_year: int) -> Trajectory:
+def trajectory(pubs: Corpus | Sequence[Publication], field_id: str, pub_year: int) -> Trajectory:
     """Average citation trajectory of the publications in one field-year."""
-    matched = [p for p in pubs if field_id in p.field_ids and p.pub_year == pub_year]
-    if not matched:
+    cohort = select_cohort(_as_corpus(pubs), field_id, pub_year)
+    if not cohort:
         raise ValidationError(f"no publications in field '{field_id}', year {pub_year}")
-    means = tuple((year, sum(column) / len(matched))
-                  for year, column in _year_columns(matched).items())
-    return Trajectory(field_id=field_id, pub_year=pub_year, n_pubs=len(matched), means=means)
+    years, columns = _cohort_columns(cohort)
+    means = tuple((year, sum(column) / len(cohort)) for year, column in zip(years, columns))
+    return Trajectory(field_id=field_id, pub_year=pub_year, n_pubs=len(cohort), means=means)
 
 
 def write_correlation_report(report: CorrelationReport, path: str | Path) -> None:

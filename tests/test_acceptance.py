@@ -17,6 +17,7 @@ import pytest
 
 from citnorm.baseline import compute_baselines
 from citnorm.cli import main
+from citnorm.corpus import select_cohort
 from citnorm.indicators import (
     ScoredPublication,
     cpp_fcsm,
@@ -227,8 +228,7 @@ def test_c08_low_rate_fields_predict_worse():
             corpus = generate_corpus(config)
             corr = {}
             for fid in ("math", "biochem"):
-                cohort = [p for p in corpus
-                          if fid in p.field_ids and p.pub_year == 1999]
+                cohort = select_cohort(corpus, fid, 1999)
                 assert len(cohort) >= 2000
                 matrix = age_correlation_matrix(cohort)
                 corr[fid] = matrix.entries[0][-1]

@@ -33,6 +33,21 @@ def workdir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def outputs(workdir):
+    """baselines.csv, scores.csv and traj.csv in ``workdir``, written once for the tests
+    that read them, so that each of those tests also passes when run on its own."""
+    corpus = str(workdir / "corpus.jsonl")
+    for argv in (
+        ["baselines", "--corpus", corpus, "--census", "2009", "--out", "baselines.csv"],
+        ["score", "--corpus", corpus, "--census", "2009", "--units", "all", "--out", "scores.csv"],
+        ["trajectory", "--corpus", corpus, "--census", "2009", "--field", "fast",
+         "--pub-year", "2000", "--out", "traj.csv"],
+    ):
+        assert main([*argv[:-1], str(workdir / argv[-1])]) == 0
+    return workdir
+
+
 def test_simulate_writes_jsonl(workdir):
     lines = (workdir / "corpus.jsonl").read_text().splitlines()
     assert len(lines) == 260
@@ -60,6 +75,7 @@ def test_score_all_units(workdir):
     assert [line.split(",")[0] for line in lines[1:]] == ["u_big", "u_low", "u_mid"]
 
 
+@pytest.mark.usefixtures("outputs")
 def test_score_subset_and_external_baselines(workdir):
     out = workdir / "scores_subset.csv"
     code = main(["score", "--corpus", str(workdir / "corpus.jsonl"),
@@ -89,6 +105,7 @@ def test_score_unknown_unit_fails_validation(workdir, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("outputs")
 def test_correlate_command(workdir):
     out = workdir / "corr.csv"
     code = main(["correlate", "--scores", str(workdir / "scores.csv"),
@@ -99,6 +116,7 @@ def test_correlate_command(workdir):
     assert len(lines) == 4
 
 
+@pytest.mark.usefixtures("outputs")
 def test_correlate_min_pubs(workdir):
     out = workdir / "corr_floor.csv"
     code = main(["correlate", "--scores", str(workdir / "scores.csv"),
@@ -144,6 +162,7 @@ def test_trajectory_command(workdir):
     assert means == sorted(means)
 
 
+@pytest.mark.usefixtures("outputs")
 def test_trajectory_census_inferred(workdir):
     # census is optional for cohort commands; it is read off the file
     out = workdir / "traj_nocensus.csv"
@@ -151,6 +170,18 @@ def test_trajectory_census_inferred(workdir):
                  "--field", "fast", "--pub-year", "2000", "--out", str(out)])
     assert code == 0
     assert out.read_text() == (workdir / "traj.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["trajectory", "age-corr"])
+def test_cohort_commands_build_no_publication(workdir, tmp_path, monkeypatch, command):
+    from citnorm import corpus as corpus_module
+
+    def materialize(*args):
+        raise AssertionError("a cohort command built publications")
+
+    monkeypatch.setattr(corpus_module, "_materialize", materialize)
+    assert main([command, "--corpus", str(workdir / "corpus.jsonl"), "--field", "fast",
+                 "--pub-year", "2000", "--out", str(tmp_path / "out.csv")]) == 0
 
 
 def test_age_corr_command(workdir):
@@ -165,6 +196,7 @@ def test_age_corr_command(workdir):
     assert lines[1].split(",")[1] == ""  # blank diagonal
 
 
+@pytest.mark.usefixtures("outputs")
 def test_plot_command(workdir):
     out = workdir / "scatter.svg"
     code = main(["plot", "--scores", str(workdir / "scores.csv"),
@@ -175,6 +207,7 @@ def test_plot_command(workdir):
     assert text.startswith("<?xml") and "</svg>" in text
 
 
+@pytest.mark.usefixtures("outputs")
 def test_plot_axis_max(workdir):
     out = workdir / "scatter_zoom.svg"
     code = main(["plot", "--scores", str(workdir / "scores.csv"),
@@ -184,6 +217,7 @@ def test_plot_axis_max(workdir):
     assert "axis_max=0.800000" in out.read_text()
 
 
+@pytest.mark.usefixtures("outputs")
 def test_rank_writes_csv_to_stdout(workdir, capsys):
     code = main(["rank", "--scores", str(workdir / "scores.csv"),
                  "--by", "mncs2", "--top", "2"])

@@ -9,7 +9,9 @@ import pytest
 
 from citnorm.errors import ValidationError
 from citnorm.indicators import UnitScore
-from citnorm.report import CANVAS, ScatterSpec, render_ranking, render_scatter
+from citnorm.report import (
+    _NOT_XML_CHAR, CANVAS, ScatterSpec, render_ranking, render_scatter,
+)
 
 
 def us(uid, cpp=None, m1=None, m2=None, n2=95):
@@ -152,6 +154,19 @@ def test_unit_id_xml_forbids_is_rejected(unit):
     with pytest.raises(ValidationError) as raised:
         render_scatter(scores, ScatterSpec("cpp_fcsm", "mncs1"))
     assert str(raised.value) == f"unit id {'u' + unit!r} holds a character XML 1.0 forbids"
+
+
+# XML 1.0's Char production: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF]
+_XML_CHAR_RANGES = ((0x9, 0x9), (0xA, 0xA), (0xD, 0xD), (0x20, 0xD7FF), (0xE000, 0xFFFD),
+                    (0x10000, 0x10FFFF))
+
+
+def test_forbidden_class_is_the_complement_of_xml_char_at_every_boundary():
+    edges = {0, *(edge + step for low, high in _XML_CHAR_RANGES
+                  for edge in (low, high) for step in (-1, 0, 1))}
+    for code in sorted(edges & set(range(0x110000))):
+        allowed = any(low <= code <= high for low, high in _XML_CHAR_RANGES)
+        assert (_NOT_XML_CHAR.search(chr(code)) is None) == allowed, f"U+{code:04X}"
 
 
 def test_unit_ids_xml_allows_are_drawn():

@@ -8,6 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from citnorm.corpus import Corpus, select_cohort
 from citnorm.errors import ValidationError
 from citnorm.stats import (
     age_correlation_matrix,
@@ -22,7 +23,7 @@ from citnorm.stats import (
 )
 from citnorm.indicators import UnitScore
 
-from conftest import make_pub
+from conftest import make_corpus, make_pub
 
 
 # --- independent oracles -------------------------------------------------
@@ -313,7 +314,8 @@ class TestAgeCorrelationMatrix:
 
     def test_different_year_ranges_rejected(self):
         pubs = [cohort_pub("a", 2000, [1, 2, 3]), cohort_pub("b", 2000, [1, 2])]
-        with pytest.raises(ValidationError, match="^publications must cover the same year range$"):
+        with pytest.raises(ValidationError, match="^publication b: citations_by_year must cover "
+                                                  "every year from 2000 to 2002 with no gaps$"):
             age_correlation_matrix(pubs)
 
     def test_matrix_csv_layout(self, tmp_path):
@@ -326,6 +328,42 @@ class TestAgeCorrelationMatrix:
         assert first_row[0] == "2000"
         assert first_row[1] == ""  # blank diagonal
         assert first_row[2] == "NA"  # constant year-one counts
+
+
+# --- publication lists and cohort corpora ---------------------------------
+
+@pytest.mark.parametrize("pubs, message", [
+    ([cohort_pub("a", 2000, [1, 2, 3]), make_pub("b", year=2000, citations=5,
+                                                 by_year={2000: 1, 2001: 2, 2002: 3})],
+     "publication b: citations_by_year at census year 2002 does not equal citations_total"),
+    ([cohort_pub("a", 2000, [1, 2, 3]), make_pub("b", year=2000, citations=2,
+                                                 by_year={2001: 1, 2002: 2})],
+     "publication b: citations_by_year must cover every year from 2000 to 2002 with no gaps"),
+    ([cohort_pub("a", 2000, [1, 2, 3]), cohort_pub("a", 2000, [0, 2, 4])], "duplicate id a"),
+], ids=["total", "late-start", "repeated-id"])
+@pytest.mark.parametrize("statistic", [age_correlation_matrix,
+                                       lambda pubs: trajectory(pubs, "f1", 2000)],
+                         ids=["age-matrix", "trajectory"])
+def test_a_publication_list_passes_the_corpus_check(statistic, pubs, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        statistic(pubs)
+
+
+def test_a_cohort_corpus_and_its_list_give_equal_results():
+    rng = random.Random(8)
+    pubs = []
+    for i in range(30):
+        running, counts = 0, []
+        for _ in range(4):
+            running += rng.randint(0, 3)
+            counts.append(running)
+        pubs.append(cohort_pub(f"p{i:02d}", 2003, counts))
+    pubs.append(make_pub("other", field="f2", year=2003, citations=1,
+                         by_year={2003: 0, 2004: 0, 2005: 1, 2006: 1}))
+    cohort = select_cohort(make_corpus(pubs, census_year=2006), "f1", 2003)
+    assert isinstance(cohort, Corpus) and len(cohort) == 30
+    assert age_correlation_matrix(cohort) == age_correlation_matrix(list(cohort))
+    assert trajectory(cohort, "f1", 2003) == trajectory(list(cohort), "f1", 2003)
 
 
 # --- trajectories -----------------------------------------------------------
