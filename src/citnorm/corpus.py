@@ -34,17 +34,9 @@ makes (:func:`_check_ids`, :func:`_check_counts`); the id's uniqueness. Once all
 lines are read and the census year is known (when not given, the largest year the
 records carry), :func:`_checked_columns` checks them as for ``Corpus(publications)``.
 
-Non-blank lines are decoded 32 at a time, one ``json.loads`` per batch; only a batch
-that is not one valid record per line is read again line by line (:func:`_read_batch`).
-
-A :class:`Corpus` stores one column per fact, in the order above (ids, unit and
-field id tuples, years, document types, totals, one by-year row per publication),
-not one object per record, and always holds them. :func:`parse_corpus`, the
-simulator and the selections fill the columns directly: :func:`select_unit` and
-:func:`select_cohort` return the corpus of the rows they select and build no
-publication. :class:`Publication` objects are built from the columns only where
-a caller asks for them: ``corpus.publications`` and iteration build the whole
-tuple once, on first use, and cache it beside the columns.
+A :class:`Corpus` holds one column per fact, in the order above, not one object per
+record. :class:`Publication` objects are built from the columns only where a caller
+asks for them, each ``citations_by_year`` a read-only :class:`CitationsByYear` over its row.
 
 Every file citnorm writes goes through :func:`_write_text`, whole or not at all. An id
 holding a lone surrogate (a ``"\\ud800"`` escape) is an error only there, as UTF-8 cannot hold it.
@@ -71,6 +63,43 @@ _MAX_CITATIONS = 2 ** 53 - 1
 _INT_ONLY = frozenset({int})
 
 
+class CitationsByYear(Mapping):
+    """A publication's cumulative citation counts by year, read-only: ``years`` ascending,
+    ``counts`` in their order. Like a dict of those items it compares equal to any mapping
+    holding them, prints as that dict, is unhashable and raises ``KeyError`` for a key it
+    lacks; ``dict(view)`` gives the dict."""
+
+    __slots__ = ("years", "counts")
+
+    def __init__(self, years: Iterable[int], counts: Iterable[int]) -> None:
+        object.__setattr__(self, "years", tuple(years))
+        object.__setattr__(self, "counts", tuple(counts))
+
+    def __getitem__(self, year) -> int:
+        try:
+            return self.counts[self.years.index(year)]
+        except ValueError:  # no such year, an int or not
+            raise KeyError(year) from None
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.years)
+
+    def __len__(self) -> int:
+        return len(self.years)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self.years, self.counts)))
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return CitationsByYear, (self.years, self.counts)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field '{name}'")
+
+
 @dataclass(frozen=True, slots=True)
 class Publication:
     """One scored document.
@@ -78,8 +107,10 @@ class Publication:
     ``citations_by_year``, when present, maps calendar year to the cumulative
     citation count by the end of that year. It must be non-decreasing; the
     corpus additionally checks that it covers every year from ``pub_year`` to
-    the census year and ends at ``citations_total``. Slotted: a publication
-    carries no per-instance ``__dict__``.
+    the census year and ends at ``citations_total``. Any mapping is accepted; the
+    publication keeps a read-only :class:`CitationsByYear` copy in ascending years,
+    which a later change to the caller's mapping does not reach. Slotted: a
+    publication carries no per-instance ``__dict__``.
     """
 
     id: str
@@ -88,7 +119,7 @@ class Publication:
     pub_year: int
     doc_type: str
     citations_total: int
-    citations_by_year: dict[int, int] | None = None
+    citations_by_year: Mapping[int, int] | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.unit_ids, str) or isinstance(self.field_ids, str):
@@ -103,13 +134,15 @@ class Publication:
         if counts is not None:
             if not isinstance(counts, Mapping):
                 raise ValidationError(f"publication {self.id}: citations_by_year must be a mapping")
-            try:
-                years = sorted(counts)
+            try:  # a set, as a mapping's keys are one, even where its iteration repeats a key
+                years = sorted(set(counts))
             except TypeError:  # mixed key types; the check below names the first non-int
                 years = list(counts)
             # a year that is no int gets the count None, which fails there and names the year
             counts = [counts[year] if type(year) is int else None for year in years]
         _check_counts(self.id, self.pub_year, self.citations_total, years, counts)
+        if years is not None:
+            object.__setattr__(self, "citations_by_year", CitationsByYear(years, counts))
 
 
 def _check_ids(pid, fields: Sequence, units: Sequence) -> None:
@@ -164,24 +197,13 @@ def _check_counts(pid: str, year, total, years: Sequence | None,
             previous = count
 
 
-# Publication's slot descriptors in field order. The materializer fills one
-# column at a time through them: what object.__setattr__ does for a slot,
-# minus the attribute lookup per call.
-_SLOT_SETTERS = tuple(Publication.__dict__[name].__set__ for name in Publication.__slots__)
-
-
-def _row(counts: dict[int, int] | None, year: int, census: int, spans: dict) -> tuple | None:
-    """``counts``, whose keys :class:`Publication` has checked, as values for ``year`` to
-    ``census``; the empty row, which covers no span, if its keys are not those years.
-    ``spans`` keeps each year's run of years to ``census`` once built."""
+def _row(counts: CitationsByYear | None, year: int) -> tuple | None:
+    """The counts of ``counts`` if its years run from ``year`` with no gap, else the empty
+    row, which covers no span. :class:`Publication` has checked and sorted the years."""
     if counts is None:
         return None
-    if len(counts) != census - year + 1:
-        return ()
-    span = spans.get(year) or spans.setdefault(year, tuple(range(year, census + 1)))
-    if tuple(counts) == span:  # keys already ascending, as _materialize builds them
-        return tuple(counts.values())
-    return tuple(map(counts.__getitem__, span)) if counts.keys() == set(span) else ()
+    years = counts.years  # distinct and ascending: a gapless run if its ends are len - 1 apart
+    return counts.counts if years and years[0] == year == years[-1] - len(years) + 1 else ()
 
 
 # A record's facts come in Publication's field order, the one order of the JSONL keys, the
@@ -244,12 +266,12 @@ class Corpus:
                     ``census_year``, or None when the record has none
 
     The columns are the only stored form: :func:`parse_corpus`, the simulator and
-    the selections fill them, and this constructor derives them from the
-    publications, which it does not keep, through the corpus-level check that
-    :func:`parse_corpus` ends in. ``publications`` and iteration build the
-    :class:`Publication` tuple from the columns on first use and cache it beside
-    them; comparing, pickling and copying read only the columns. Safe for
-    concurrent read access once constructed.
+    the selections (:func:`select_unit`, :func:`select_cohort`) fill them, and this
+    constructor derives them from the publications, which it does not keep, through
+    the corpus-level check that :func:`parse_corpus` ends in. ``publications`` and
+    iteration build the :class:`Publication` tuple from the columns on first use and
+    cache it beside them; comparing, pickling and copying read only the columns.
+    Safe for concurrent read access once constructed.
     """
 
     __slots__ = ("census_year", "first_year", *_COLUMNS, "_publications")
@@ -258,7 +280,7 @@ class Corpus:
                  first_year: int) -> None:
         pubs = tuple(publications)
         columns = [tuple(map(attrgetter(name), pubs)) for name in Publication.__slots__]
-        columns[6] = tuple(map(_row, columns[6], columns[3], repeat(census_year), repeat({})))
+        columns[6] = tuple(map(_row, columns[6], columns[3]))
         _fill(self, census_year, first_year, *_checked_columns(columns, census_year, first_year))
 
     @classmethod
@@ -271,11 +293,8 @@ class Corpus:
         _fill(corpus, census_year, first_year, *map(tuple, columns))
         return corpus
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field '{name}'")
+    __setattr__ = CitationsByYear.__setattr__
+    __delattr__ = CitationsByYear.__delattr__
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -315,21 +334,27 @@ def _fill(corpus: Corpus, census_year: int, first_year: int, *columns: tuple) ->
 def _materialize(corpus: Corpus) -> tuple[Publication, ...]:
     """Every publication of ``corpus``, built column by column.
 
-    The corpus's columns hold only checked values, so this is the one place
-    that builds a :class:`Publication` without ``__post_init__``. The
-    publications share the columns' id strings, id tuples and numbers.
+    The corpus's columns hold only checked values, so this is the one place that
+    builds a :class:`Publication` and its :class:`CitationsByYear` without their
+    checks. The publications share the columns' id strings, id tuples, numbers and
+    by-year rows; the views of one publication year share one tuple of years.
     """
     columns = _state(corpus)[2:]
     years, rows = columns[3], columns[6]
-    # a row spans its year to the census year, so no tail is longer than a row
-    tails = {year: tuple(range(year, corpus.census_year + 1))
-             for year in {year for year, row in zip(years, rows) if row is not None}}
-    counts = (None if row is None else dict(zip(tails[year], row))
-              for year, row in zip(years, rows))
-    pubs = tuple(map(object.__new__, repeat(Publication, len(years))))
-    for set_slot, column in zip(_SLOT_SETTERS, (*columns[:6], counts)):
-        deque(map(set_slot, pubs, column), maxlen=0)
-    return pubs
+    spans = {year: tuple(range(year, corpus.census_year + 1)) for year in set(years)}
+    views = _built(CitationsByYear, len(rows), (map(spans.__getitem__, years), rows))
+    if None in rows:  # a record without by-year counts has none
+        views = tuple(view if row is not None else None for view, row in zip(views, rows))
+    return _built(Publication, len(rows), (*columns[:6], views))
+
+
+def _built(cls: type, n: int, columns: Iterable[Iterable]) -> tuple:
+    """``n`` instances of the slotted ``cls``, its slots filled column by column through
+    their descriptors: ``object.__setattr__`` per slot, minus the attribute lookup per call."""
+    built = tuple(map(object.__new__, repeat(cls, n)))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(cls.__dict__[name].__set__, built, column), maxlen=0)
+    return built
 
 
 def _select(corpus: Corpus, indices: list[int]) -> Corpus:

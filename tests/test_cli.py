@@ -388,13 +388,26 @@ def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
          "--out", str(tmp_path / "age.csv")],
     ]
     for argv in commands:
-        # -X importtime lists every module the run imports on stderr
-        proc = run_module("-X", "importtime", "-m", "citnorm", *argv)
-        assert proc.returncode == 0, (argv[0], proc.stderr[-500:])
-        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")}
+        imported = _imported_modules(argv)
         assert "citnorm.cli" in imported
         assert "numpy" not in imported, f"{argv[0]} imported numpy"
+
+
+def _imported_modules(argv: list[str]) -> set[str]:
+    """Every module ``python -m citnorm <argv>`` imports, which must exit 0."""
+    # -X importtime lists every module the run imports on stderr
+    proc = run_module("-X", "importtime", "-m", "citnorm", *argv)
+    assert proc.returncode == 0, (argv[0], proc.stderr[-500:])
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.usefixtures("outputs")
+def test_plot_does_not_import_html(workdir, tmp_path):
+    # the SVG's text is escaped through a table: html was an import of every command
+    imported = _imported_modules(["plot", "--scores", str(workdir / "scores.csv"), "--x",
+                                  "cpp_fcsm", "--y", "mncs1", "--out", str(tmp_path / "s.svg")])
+    assert "citnorm.report" in imported and "html" not in imported
 
 
 def test_deeply_nested_config_is_one_line_error(tmp_path, capsys):

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import gc
 import json
 import os
 import pickle
 import re
 import threading
+import tracemalloc
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import citnorm.corpus as corpus_module
 from citnorm.baseline import compute_baselines
 from citnorm.corpus import (
+    CitationsByYear,
     Corpus,
     Publication,
     corpus_to_jsonl,
@@ -26,6 +31,7 @@ from citnorm.corpus import (
 from citnorm.errors import ValidationError
 from citnorm.indicators import score_units
 from citnorm.simulate import config_from_dict, generate_corpus
+from citnorm.stats import age_correlation_matrix, trajectory
 
 from conftest import make_corpus, make_pub
 from test_ingest_fuzz import outcome, reference_parse
@@ -266,6 +272,22 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="no gaps"):
             make_corpus([pub])
 
+    def test_a_mapping_that_repeats_a_year_covers_only_its_keys(self):
+        class Repeating(Mapping):  # iterates 2009 twice and has no 2010
+            def __getitem__(self, year):
+                return {2008: 1, 2009: 2, 2011: 5}[year]
+
+            def __iter__(self):
+                return iter([2008, 2009, 2009, 2011])
+
+            def __len__(self):
+                return 4
+
+        pub = make_pub("P1", year=2008, citations=5, by_year=Repeating())
+        assert pub.citations_by_year == {2008: 1, 2009: 2, 2011: 5}
+        with pytest.raises(ValidationError, match="from 2008 to 2011 with no gaps"):
+            make_corpus([pub], census_year=2011)
+
     def test_counts_must_end_at_total(self):
         pub = make_pub("P1", year=2009, citations=5, by_year={2009: 1, 2010: 4})
         with pytest.raises(ValidationError, match="citations_total"):
@@ -483,6 +505,13 @@ ONE_CHECK_CASES = {
     "by-year gap": (
         [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2010: 5})], 2010, 2000,
         "publication P1: citations_by_year must cover every year from 2008 to 2010 with no gaps"),
+    "by-year gap as long as the span": (
+        [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2010: 5})], 2009, 2000,
+        "publication P1: citations_by_year must cover every year from 2008 to 2009 with no gaps"),
+    "by-year past the census": (
+        [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2009: 5, 2010: 5})], 2009,
+        2000,
+        "publication P1: citations_by_year must cover every year from 2008 to 2009 with no gaps"),
     "by-year end not the total": (
         [make_pub("P1", year=2009, citations=5, by_year={2009: 1, 2010: 4})], 2010, 2000,
         "publication P1: citations_by_year at census year 2010 does not equal citations_total"),
@@ -700,3 +729,95 @@ def test_a_stream_that_cannot_rewind_names_a_fault_in_a_later_batch(tmp_path):
         parse_corpus(fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+# --- by-year counts: a read-only view ----------------------------------------
+
+def test_by_year_counts_cannot_be_changed_after_the_checks():
+    pub = make_pub("a", year=2000, citations=3, by_year={2000: 1, 2001: 3})
+    with pytest.raises(TypeError):
+        pub.citations_by_year[2000] = -7
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'counts'"):
+        pub.citations_by_year.counts = (-7, 3)
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'years'"):
+        del pub.citations_by_year.years
+    assert pub.citations_by_year == {2000: 1, 2001: 3}
+
+
+def test_changing_the_callers_mapping_changes_nothing_reported():
+    counts = {2000: 1, 2001: 3}
+    pubs = [make_pub("a", field="f", year=2000, citations=3, by_year=counts),
+            make_pub("b", field="f", year=2000, citations=5, by_year={2000: 2, 2001: 5})]
+    counts[2000] = 3  # before, the publication kept this dict, so every report below changed
+    assert Corpus(pubs[:1], census_year=2001, first_year=2000).by_year == ((1, 3),)
+    assert trajectory(pubs, "f", 2000).means == ((2000, 1.5), (2001, 4.0))
+    assert age_correlation_matrix(pubs).entries[0][1] == 1.0
+
+
+def test_by_year_view_is_a_plain_mapping():
+    counts = {2010: 3, 2009: 1}
+    pub = make_pub("P1", year=2009, citations=3, by_year=counts)
+    view = pub.citations_by_year
+    assert isinstance(view, Mapping) and type(view) is CitationsByYear
+    assert view == counts and counts == view and not view != counts
+    assert view != {2009: 1} and {2009: 1, 2010: 4} != view and view != [2009, 2010]
+    assert type(dict(view)) is dict and dict(view) == counts
+    # ascending years, whatever the order of the mapping given
+    assert list(view) == [2009, 2010] and list(view.items()) == [(2009, 1), (2010, 3)]
+    assert repr(view) == "{2009: 1, 2010: 3}"
+    assert repr(pub) == ("Publication(id='P1', unit_ids=('u1',), field_ids=('f1',), "
+                         "pub_year=2009, doc_type='article', citations_total=3, "
+                         "citations_by_year={2009: 1, 2010: 3})")
+    with pytest.raises(TypeError):
+        hash(view)
+    for key in (2008, 2011, "2009", None, (2009,), [2009]):
+        with pytest.raises(KeyError):
+            view[key]
+        assert key not in view and view.get(key) is None
+    assert view[2010] == 3 and 2009 in view and len(view) == 2
+
+
+@pytest.mark.parametrize("source", ["built", "materialized"])
+def test_publications_with_by_year_views_pickle_copy_and_replace(source):
+    pub = make_pub("P1", year=2009, citations=3, by_year={2009: 1, 2010: 3})
+    if source == "materialized":
+        pub = make_corpus([pub]).publications[0]
+    clones = [pickle.loads(pickle.dumps(pub)), copy.copy(pub), copy.deepcopy(pub),
+              dataclasses.replace(pub)]
+    for clone in clones:
+        assert clone == pub and repr(clone) == repr(pub)
+        assert type(clone.citations_by_year) is CitationsByYear
+    assert pickle.loads(pickle.dumps(pub.citations_by_year)) == {2009: 1, 2010: 3}
+    later = dataclasses.replace(pub, pub_year=2010, citations_by_year={2010: 3})
+    assert later.citations_by_year == {2010: 3} and pub.citations_by_year[2009] == 1
+
+
+def test_a_materialized_view_shares_its_corpus_row():
+    pubs = [make_pub("P1", year=2009, citations=3, by_year={2009: 1, 2010: 3}),
+            make_pub("P2", year=2009, citations=0, by_year={2010: 0, 2009: 0}),
+            make_pub("P3", citations=2)]
+    corpus = make_corpus(pubs)
+    built = corpus.publications
+    assert built == tuple(pubs) and tuple(pubs) == built
+    assert corpus.by_year[0] is pubs[0].citations_by_year.counts  # the checked row, not a copy
+    assert built[0].citations_by_year.counts is corpus.by_year[0]
+    assert built[1].citations_by_year.counts is corpus.by_year[1]
+    assert built[0].citations_by_year.years is built[1].citations_by_year.years  # one per year
+    assert built[2].citations_by_year is None
+
+
+def test_materialized_publications_keep_at_most_200_bytes_each():
+    corpus = generate_corpus(config_from_dict({
+        "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
+        "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 10_000}],
+        "first_year": 1999, "census_year": 2008, "seed": 5}))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pubs = corpus.publications
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a dict per publication kept about 383 bytes each; the view shares the corpus's row
+    assert len(pubs) == 10_000 and kept / len(pubs) <= 200

@@ -1,16 +1,18 @@
 """SVG scatter rendering and ranking export."""
 from __future__ import annotations
 
+import html
 import math
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 from citnorm.errors import ValidationError
 from citnorm.indicators import UnitScore
 from citnorm.report import (
-    _NOT_XML_CHAR, CANVAS, ScatterSpec, render_ranking, render_scatter,
+    _NOT_XML_CHAR, _XML_TEXT, CANVAS, ScatterSpec, render_ranking, render_scatter,
 )
 
 
@@ -167,6 +169,11 @@ def test_forbidden_class_is_the_complement_of_xml_char_at_every_boundary():
     for code in sorted(edges & set(range(0x110000))):
         allowed = any(low <= code <= high for low, high in _XML_CHAR_RANGES)
         assert (_NOT_XML_CHAR.search(chr(code)) is None) == allowed, f"U+{code:04X}"
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amplgt\"' x\u00e9")) | st.text())
+def test_the_text_table_escapes_as_html_escape_without_quotes(text):
+    assert text.translate(_XML_TEXT) == html.escape(text, quote=False)
 
 
 def test_unit_ids_xml_allows_are_drawn():
