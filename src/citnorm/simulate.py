@@ -93,6 +93,13 @@ class SimulationConfig:
                 raise ValidationError(f"unit '{u.unit_id}': quality must be finite and > 0")
             if u.n_pubs < 1:
                 raise ValidationError(f"unit '{u.unit_id}': n_pubs must be >= 1")
+        for kind, ids in (("field", [f.field_id for f in self.fields]),
+                          ("unit", [u.unit_id for u in self.units])):
+            seen: set[str] = set()  # a repeated id would merge two specs into one id's records
+            for id_ in ids:
+                if id_ in seen:
+                    raise ValidationError(f"{kind} '{id_}' is listed twice")
+                seen.add(id_)
         if not (math.isfinite(self.dispersion) and self.dispersion >= 0):
             raise ValidationError("dispersion must be finite and >= 0")
         if self.dispersion > 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import mul
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .baseline import _csv_text
 from .corpus import Corpus, Publication, _write_text, select_cohort
@@ -152,11 +152,12 @@ class AgeCorrelationMatrix:
     entries: tuple[tuple[float | None, ...], ...]
 
 
-def _as_corpus(pubs: Corpus | Sequence[Publication]) -> Corpus:
+def _as_corpus(pubs: Corpus | Iterable[Publication]) -> Corpus:
     """``pubs`` itself if a corpus, else the corpus over them whose census year is the
     largest year they carry and whose first year is their earliest ``pub_year``."""
     if isinstance(pubs, Corpus):
         return pubs
+    pubs = tuple(pubs)  # an iterator is read once, here, not once for the years and again below
     years = [pub.pub_year for pub in pubs]
     keys = [max(pub.citations_by_year) for pub in pubs if pub.citations_by_year]
     return Corpus(pubs, census_year=max(years + keys, default=0), first_year=min(years, default=0))
@@ -176,7 +177,7 @@ def _cohort_columns(cohort: Corpus) -> tuple[range, list[tuple[int, ...]]]:
     return range(first, cohort.census_year + 1), list(zip(*cohort.by_year))
 
 
-def age_correlation_matrix(pubs: Corpus | Sequence[Publication]) -> AgeCorrelationMatrix:
+def age_correlation_matrix(pubs: Corpus | Iterable[Publication]) -> AgeCorrelationMatrix:
     """Cross-year citation-count correlations for same-year publications, from
     exact integer moments of the counts (Σx, Σx² per year, Σxy per pair)."""
     cohort = _as_corpus(pubs)
@@ -208,7 +209,7 @@ class Trajectory:
     means: tuple[tuple[int, float], ...]
 
 
-def trajectory(pubs: Corpus | Sequence[Publication], field_id: str, pub_year: int) -> Trajectory:
+def trajectory(pubs: Corpus | Iterable[Publication], field_id: str, pub_year: int) -> Trajectory:
     """Average citation trajectory of the publications in one field-year."""
     cohort = select_cohort(_as_corpus(pubs), field_id, pub_year)
     if not cohort:

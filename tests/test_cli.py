@@ -149,6 +149,28 @@ def test_an_empty_cohort_is_named(workdir, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["baselines"],
+    ["score", "--units", "all"],
+    ["trajectory", "--field", "fast", "--pub-year", "2003"],
+    ["age-corr", "--field", "fast", "--pub-year", "2003"],
+], ids=lambda command: command[0])
+def test_first_year_bounds_every_pub_year(workdir, tmp_path, capsys, command):
+    corpus = workdir / "corpus.jsonl"
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    line, first = next((n, r) for n, r in enumerate(records, 1) if r["pub_year"] == 2000)
+    out = tmp_path / "out.csv"
+    argv = [command[0], "--corpus", str(corpus), "--census", "2009", *command[1:],
+            "--out", str(out)]
+    assert main([*argv, "--first-year", "2001"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: line {line}: publication {first['id']}: pub_year 2000 outside [2001, 2009]"
+    ]
+    assert not out.exists()
+    assert main([*argv, "--first-year", "2000"]) == 0  # the earliest pub_year in the file
+    assert out.exists() and capsys.readouterr().err == ""
+
+
 def test_trajectory_command(workdir):
     out = workdir / "traj.csv"
     code = main(["trajectory", "--corpus", str(workdir / "corpus.jsonl"),
@@ -576,6 +598,9 @@ def test_score_of_an_empty_units_list_is_one_line_error(workdir, tmp_path, capsy
     (None, 2 ** 64, "seed must be a 64-bit unsigned integer"),
     (None, -1, "seed must be a 64-bit unsigned integer"),
     ("units", 5, "units[0] must be a JSON object"),
+    # a repeated id would draw both specs' records under that one id
+    ("fields", {"field_id": "slow", "rate": 9.0}, "field 'slow' is listed twice"),
+    ("units", CONFIG["units"][1], "unit 'u_mid' is listed twice"),
 ])
 def test_config_out_of_range_is_one_line_error(tmp_path, capsys, section, value, message):
     config = json.loads(json.dumps(CONFIG))

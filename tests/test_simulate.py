@@ -275,6 +275,19 @@ class TestConfigValidation:
             SimulationConfig(fields=(FieldSpec("f", 1.0),), units=(spec,),
                              first_year=2000, census_year=2001)
 
+    @pytest.mark.parametrize("fields, units, message", [
+        (("f", "f"), ("u",), "field 'f' is listed twice"),
+        (("f",), ("u", "u"), "unit 'u' is listed twice"),
+        # the first id that an earlier one repeats is named, and fields come first
+        (("a", "b", "b", "a"), ("u", "u"), "field 'b' is listed twice"),
+        (("f", "u"), ("u", "v", "f", "v"), "unit 'v' is listed twice"),
+    ])
+    def test_repeated_id_is_rejected(self, fields, units, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SimulationConfig(fields=tuple(FieldSpec(f, 0.5 + i) for i, f in enumerate(fields)),
+                             units=tuple(UnitSpec(u, 1.0 + i, 5) for i, u in enumerate(units)),
+                             first_year=2000, census_year=2001)
+
     def test_rate_beyond_poisson_range_is_validation_error(self):
         with pytest.raises(ValidationError, match="^unit 'u': cannot draw citations"):
             generate_corpus(one_field_config(rate=1e20, n_pubs=2))

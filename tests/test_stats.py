@@ -362,8 +362,11 @@ def test_a_cohort_corpus_and_its_list_give_equal_results():
                          by_year={2003: 0, 2004: 0, 2005: 1, 2006: 1}))
     cohort = select_cohort(make_corpus(pubs, census_year=2006), "f1", 2003)
     assert isinstance(cohort, Corpus) and len(cohort) == 30
-    assert age_correlation_matrix(cohort) == age_correlation_matrix(list(cohort))
-    assert trajectory(cohort, "f1", 2003) == trajectory(list(cohort), "f1", 2003)
+    for statistic in (age_correlation_matrix, lambda pubs: trajectory(pubs, "f1", 2003)):
+        expected = statistic(cohort)
+        assert statistic(list(cohort)) == expected
+        # an iterator and a generator are read once, not found empty on a second pass
+        assert statistic(iter(cohort)) == statistic(p for p in cohort) == expected
 
 
 # --- trajectories -----------------------------------------------------------
