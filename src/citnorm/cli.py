@@ -30,62 +30,63 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _corpus_command(sub, name: str, help_: str, census_inferred: bool = False) -> _Parser:
+    """A subcommand that reads a corpus, with its --corpus, --census and --first-year."""
+    p = sub.add_parser(name, help=help_)
+    p.add_argument("--corpus", required=True, help="publication JSONL file")
+    p.add_argument("--census", required=not census_inferred, type=int, help="census year" + (
+        " (default: inferred from the file)" if census_inferred else ""))
+    p.add_argument("--first-year", type=int, default=None,
+                   help="earliest admissible publication year (default: min in file)")
+    return p
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="citnorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("baselines", help="compute the expected-citations table")
-    p.add_argument("--corpus", required=True, help="publication JSONL file")
-    p.add_argument("--census", required=True, type=int, help="census year")
-    p.add_argument("--first-year", type=int, default=None,
-                   help="earliest admissible publication year (default: min in file)")
+    p = _corpus_command(sub, "baselines", "compute the expected-citations table")
     p.add_argument("--out", required=True, help="output CSV path")
 
-    p = sub.add_parser("score", help="score units (CPP/FCSm, MNCS1, MNCS2)")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--census", required=True, type=int)
-    p.add_argument("--first-year", type=int, default=None)
-    p.add_argument("--units", required=True,
-                   help="'all' or a comma-separated list of unit ids")
+    p = _corpus_command(sub, "score", "score units (CPP/FCSm, MNCS1, MNCS2)")
+    p.add_argument("--units", required=True, help="'all' or a comma-separated list of unit ids")
     p.add_argument("--baselines", default=None,
                    help="optional baseline CSV; default: compute from the corpus")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output scores CSV")
 
     p = sub.add_parser("correlate", help="indicator cross-correlations over a scores CSV")
-    p.add_argument("--scores", required=True)
+    p.add_argument("--scores", required=True, help="scores CSV written by score")
     p.add_argument("--min-pubs", type=int, default=0,
                    help="ignore units with fewer total publications")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output correlations CSV")
 
     for name, help_ in (("trajectory", "mean cumulative citations per year for a field cohort"),
                         ("age-corr", "cross-year citation-count correlation matrix")):
-        p = sub.add_parser(name, help=help_)  # the two cohort commands take the same arguments
-        p.add_argument("--corpus", required=True)
-        p.add_argument("--census", type=int, default=None,
-                       help="census year (default: inferred from the file)")
-        p.add_argument("--first-year", type=int, default=None)
-        p.add_argument("--field", required=True)
-        p.add_argument("--pub-year", required=True, type=int)
-        p.add_argument("--out", required=True)
+        p = _corpus_command(sub, name, help_, census_inferred=True)
+        p.add_argument("--field", required=True, help="field id of the cohort")
+        p.add_argument("--pub-year", required=True, type=int, help="the cohort's publication year")
+        p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("simulate", help="generate a synthetic corpus")
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--out", required=True, help="output corpus JSONL")
 
     p = sub.add_parser("plot", help="scatter plot of two indicators as SVG")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--x", required=True, choices=indicators.INDICATOR_NAMES)
-    p.add_argument("--y", required=True, choices=indicators.INDICATOR_NAMES)
+    p.add_argument("--scores", required=True, help="scores CSV written by score")
+    for axis in ("x", "y"):
+        p.add_argument(f"--{axis}", required=True, choices=indicators.INDICATOR_NAMES,
+                       help=f"indicator on the {axis} axis")
     p.add_argument("--threshold", type=int, default=50,
                    help="red-square cutoff on publications with a full citation year")
     p.add_argument("--axis-max", type=float, default=None,
                    help="cap both axes; units beyond it are omitted and tallied")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output SVG path")
 
     p = sub.add_parser("rank", help="print the top units by one indicator as CSV")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--by", required=True, choices=indicators.INDICATOR_NAMES)
-    p.add_argument("--top", required=True, type=int)
+    p.add_argument("--scores", required=True, help="scores CSV written by score")
+    p.add_argument("--by", required=True, choices=indicators.INDICATOR_NAMES,
+                   help="indicator to rank by, highest first")
+    p.add_argument("--top", required=True, type=int, help="number of units to print")
 
     return parser
 
@@ -123,9 +124,7 @@ def _run(args) -> None:
         stats.write_trajectory(traj, args.out)
 
     elif args.command == "age-corr":
-        cohort = corpus.select_cohort(_load_corpus(args), args.field, args.pub_year)
-        if not cohort:
-            raise ValidationError(f"no publications in field '{args.field}', year {args.pub_year}")
+        cohort = stats._field_cohort(_load_corpus(args), args.field, args.pub_year)
         stats.write_age_matrix(stats.age_correlation_matrix(cohort), args.out)
 
     elif args.command == "simulate":

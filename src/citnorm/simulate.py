@@ -31,9 +31,9 @@ within 2**53 - 1.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -47,20 +47,20 @@ from .errors import ValidationError
 _SHAPE_SEED = 0x5EED5
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FieldSpec:
     field_id: str
     rate: float  # mean citations gained per publication per (full) year
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class UnitSpec:
     unit_id: str
     quality: float  # multiplicative factor on field rates
     n_pubs: int
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SimulationConfig:
     fields: tuple[FieldSpec, ...]
     units: tuple[UnitSpec, ...]
@@ -73,33 +73,34 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple(self.fields))
         object.__setattr__(self, "units", tuple(self.units))
-        if not self.fields:
-            raise ValidationError("config needs at least one field")
-        if not self.units:
-            raise ValidationError("config needs at least one unit")
+        _check_types(self, "")
+        for kind, spec_type, specs in (("field", FieldSpec, self.fields),
+                                       ("unit", UnitSpec, self.units)):
+            if not specs:
+                raise ValidationError(f"config needs at least one {kind}")
+            seen: set[str] = set()  # a repeated id would merge two specs into one id's records
+            for spec in specs:
+                if not isinstance(spec, spec_type):
+                    raise ValidationError(f"{kind}s must hold {spec_type.__name__} objects")
+                id_ = getattr(spec, f"{kind}_id")
+                if not isinstance(id_, str) or not id_:
+                    raise ValidationError(f"{kind}_id {id_!r} must be a non-empty string")
+                if id_ in seen:
+                    raise ValidationError(f"{kind} '{id_}' is listed twice")
+                seen.add(id_)
+                _check_types(spec, f"{kind} '{id_}': ")
         if not (1 <= self.first_year <= 9999 and 1 <= self.census_year <= 9999):
             raise ValidationError("first_year and census_year must be in [1, 9999]")
         if self.census_year < self.first_year:
             raise ValidationError("census_year must not precede first_year")
         for f in self.fields:
-            if not isinstance(f.field_id, str) or not f.field_id:
-                raise ValidationError(f"field_id {f.field_id!r} must be a non-empty string")
             if not (math.isfinite(f.rate) and f.rate > 0):
                 raise ValidationError(f"field '{f.field_id}': rate must be finite and > 0")
         for u in self.units:
-            if not isinstance(u.unit_id, str) or not u.unit_id:
-                raise ValidationError(f"unit_id {u.unit_id!r} must be a non-empty string")
             if not (math.isfinite(u.quality) and u.quality > 0):
                 raise ValidationError(f"unit '{u.unit_id}': quality must be finite and > 0")
             if u.n_pubs < 1:
                 raise ValidationError(f"unit '{u.unit_id}': n_pubs must be >= 1")
-        for kind, ids in (("field", [f.field_id for f in self.fields]),
-                          ("unit", [u.unit_id for u in self.units])):
-            seen: set[str] = set()  # a repeated id would merge two specs into one id's records
-            for id_ in ids:
-                if id_ in seen:
-                    raise ValidationError(f"{kind} '{id_}' is listed twice")
-                seen.add(id_)
         if not (math.isfinite(self.dispersion) and self.dispersion >= 0):
             raise ValidationError("dispersion must be finite and >= 0")
         if self.dispersion > 0:
@@ -108,6 +109,17 @@ class SimulationConfig:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         if not 0 <= self.same_year_damping <= 1:
             raise ValidationError("same_year_damping must be in [0, 1]")
+
+
+def _check_types(spec, where: str) -> None:
+    """Check each int and float attribute of ``spec`` as JSON types it, by type(): a bool, a
+    str or a numpy scalar is neither. (Annotations are strings, by the future import.)"""
+    for attr in dataclasses.fields(spec):
+        value = getattr(spec, attr.name)
+        if attr.type == "int" and type(value) is not int:
+            raise ValidationError(f"{where}{attr.name} must be an integer")
+        if attr.type == "float" and type(value) not in (int, float):
+            raise ValidationError(f"{where}{attr.name} must be a number")
 
 
 def _gamma_shape_scale(dispersion: float) -> tuple[float, float]:
@@ -124,46 +136,29 @@ def _gamma_shape_scale(dispersion: float) -> tuple[float, float]:
     return shape, variance
 
 
-# The JSON types each config key takes (type(), not isinstance(): a JSON true is
-# no integer), or None where SimulationConfig checks the value itself.
-_INTEGER, _NUMBER = (int,), (int, float)
-_CONFIG_KEYS = {"fields": None, "units": None, "first_year": _INTEGER, "census_year": _INTEGER,
-                "dispersion": _NUMBER, "seed": _INTEGER, "same_year_damping": _NUMBER}
-_FIELD_KEYS = {"field_id": None, "rate": _NUMBER}
-_UNIT_KEYS = {"unit_id": None, "quality": _NUMBER, "n_pubs": _INTEGER}
-
-
-def _checked(obj, keys: dict, where: str) -> dict:
-    """``obj``, once checked to be a JSON object of known keys with values of their types."""
+def _json_object(obj, spec_type, where: str) -> dict:
+    """``obj``, once checked to be a JSON object with each key ``spec_type`` needs and no other."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
-    for key, value in obj.items():
-        if key not in keys:
+    defaults = {attr.name: attr.default for attr in dataclasses.fields(spec_type)}
+    for key in obj:
+        if key not in defaults:
             raise ValueError(f"unknown key '{key}' in {where}")
-        if keys[key] is not None and type(value) not in keys[key]:
-            kind = "an integer" if keys[key] is _INTEGER else "a number"
-            raise ValueError(f"{key} in {where} must be {kind}")
+    for key, default in defaults.items():
+        if default is dataclasses.MISSING and key not in obj:
+            raise KeyError(key)
     return obj
 
 
 def config_from_dict(obj: dict) -> SimulationConfig:
     """A :class:`SimulationConfig` from parsed JSON: no value is coerced, no unknown key kept."""
     try:
-        _checked(obj, _CONFIG_KEYS, "the config")
-        fields = [_checked(f, _FIELD_KEYS, f"fields[{i}]") for i, f in enumerate(obj["fields"])]
-        units = [_checked(u, _UNIT_KEYS, f"units[{i}]") for i, u in enumerate(obj["units"])]
-        return SimulationConfig(
-            fields=tuple(FieldSpec(field_id=f["field_id"], rate=float(f["rate"])) for f in fields),
-            units=tuple(
-                UnitSpec(unit_id=u["unit_id"], quality=float(u["quality"]), n_pubs=u["n_pubs"])
-                for u in units
-            ),
-            first_year=obj["first_year"],
-            census_year=obj["census_year"],
-            dispersion=float(obj.get("dispersion", 0.0)),
-            seed=obj.get("seed", 0),
-            same_year_damping=float(obj.get("same_year_damping", 0.1)),
-        )
+        _json_object(obj, SimulationConfig, "the config")
+        fields = [FieldSpec(**_json_object(f, FieldSpec, f"fields[{i}]"))
+                  for i, f in enumerate(obj["fields"])]
+        units = [UnitSpec(**_json_object(u, UnitSpec, f"units[{i}]"))
+                 for i, u in enumerate(obj["units"])]
+        return SimulationConfig(**{**obj, "fields": fields, "units": units})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad simulation config: {exc}") from None
 

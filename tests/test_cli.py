@@ -1,11 +1,15 @@
 """End-to-end CLI coverage: every subcommand, exit codes, output formats."""
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import fields, replace
 
 import pytest
 
-from citnorm.cli import main
+from citnorm.cli import _build_parser, main
+from citnorm.errors import ValidationError
+from citnorm.simulate import FieldSpec, SimulationConfig, UnitSpec, config_from_dict
 
 from conftest import run_module
 
@@ -365,6 +369,37 @@ def test_hostile_simulation_config_is_one_line_error(tmp_path, capsys, section, 
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def _outcome(build) -> str | None:
+    """The message ``build()`` raises as a ValidationError, or None if it raises none."""
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+CONFIG_KEYS = {f.name for spec in (SimulationConfig, FieldSpec, UnitSpec) for f in fields(spec)}
+KNOWN_KEY_VALUES = [case for case in HOSTILE_CONFIG_VALUES if case[1] in CONFIG_KEYS]
+
+
+@pytest.mark.parametrize("section, key, value", KNOWN_KEY_VALUES,
+                         ids=[f"{key}={value!r}" for _, key, value in KNOWN_KEY_VALUES])
+def test_config_built_in_code_is_checked_as_its_json(section, key, value):
+    # the dataclasses are the one schema: a value the reader rejects, the constructor
+    # rejects in the same words, and one the reader lets through, so does the constructor
+    config = json.loads(json.dumps(CONFIG))
+    (config if section is None else config[section][0])[key] = value
+    valid = config_from_dict(CONFIG)
+    if section is None:
+        changed = {key: value}
+    else:
+        specs = getattr(valid, section)
+        changed = {section: (replace(specs[0], **{key: value}), *specs[1:])}
+    in_code = _outcome(lambda: replace(valid, **changed))
+    from_json = _outcome(lambda: config_from_dict(config))
+    assert from_json == (None if in_code is None else f"bad simulation config: {in_code}")
+
+
 def test_config_integer_beyond_digit_limit_is_one_line_error(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(CONFIG).replace('"seed": 11', '"seed": ' + "1" * 5001))
@@ -415,13 +450,21 @@ def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
         assert "numpy" not in imported, f"{argv[0]} imported numpy"
 
 
+# ``python -m citnorm`` that lists sys.modules on stderr at exit: unlike -X importtime, this
+# also sees the modules that importlib.import_module loads
+_LIST_MODULES_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write(''.join(f'module {m}\\n' for m in sys.modules)))\n"
+    "runpy.run_module('citnorm', run_name='__main__', alter_sys=True)\n"
+)
+
+
 def _imported_modules(argv: list[str]) -> set[str]:
-    """Every module ``python -m citnorm <argv>`` imports, which must exit 0."""
-    # -X importtime lists every module the run imports on stderr
-    proc = run_module("-X", "importtime", "-m", "citnorm", *argv)
+    """Every module ``python -m citnorm <argv>`` has imported when it exits, which must be 0."""
+    proc = run_module("-c", _LIST_MODULES_AT_EXIT, *argv)
     assert proc.returncode == 0, (argv[0], proc.stderr[-500:])
-    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
+    return {line.removeprefix("module ") for line in proc.stderr.splitlines()
+            if line.startswith("module ")}
 
 
 @pytest.mark.usefixtures("outputs")
@@ -430,6 +473,14 @@ def test_plot_does_not_import_html(workdir, tmp_path):
     imported = _imported_modules(["plot", "--scores", str(workdir / "scores.csv"), "--x",
                                   "cpp_fcsm", "--y", "mncs1", "--out", str(tmp_path / "s.svg")])
     assert "citnorm.report" in imported and "html" not in imported
+
+
+def test_every_option_has_help():
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    undescribed = [(name, action.option_strings[0]) for name, parser in commands.items()
+                   for action in parser._actions if not action.help]
+    assert len(commands) == 8 and undescribed == []
 
 
 def test_deeply_nested_config_is_one_line_error(tmp_path, capsys):

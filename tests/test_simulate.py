@@ -1,6 +1,7 @@
 """Synthetic corpus generator: determinism, shape stability, calibration."""
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -257,6 +258,24 @@ class TestConfigValidation:
             one_field_config(dispersion=value)
         with pytest.raises(ValidationError, match="same_year_damping"):
             replace(one_field_config(), same_year_damping=value)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seed": True}, "seed must be an integer"),
+        ({"dispersion": True}, "dispersion must be a number"),
+        ({"same_year_damping": False}, "same_year_damping must be a number"),
+        ({"fields": (FieldSpec("f", True),)}, "field 'f': rate must be a number"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"first_year": 2000.0}, "first_year must be an integer"),
+        ({"units": (UnitSpec("u", 1.0, 2.5),)}, "unit 'u': n_pubs must be an integer"),
+        ({"fields": (FieldSpec("f", "2"),)}, "field 'f': rate must be a number"),
+        # a numpy scalar is no JSON number either: the caller converts it
+        ({"seed": np.uint64(7)}, "seed must be an integer"),
+        ({"units": (UnitSpec("u", np.float64(1.5), 3),)}, "unit 'u': quality must be a number"),
+        ({"units": (FieldSpec("u", 1.0),)}, "units must hold UnitSpec objects"),
+    ])
+    def test_rejects_value_of_wrong_type(self, change, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replace(one_field_config(), **change)
 
     @pytest.mark.parametrize("dispersion", [1e-170, 1e-160, 1e155])
     def test_rejects_dispersion_whose_gamma_parameters_overflow(self, dispersion):
