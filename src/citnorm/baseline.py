@@ -4,7 +4,8 @@ The expected citation count of a publication is the average number of
 citations of all publications published in the same field and the same year.
 Baselines are computed over a reference corpus (normally the whole ingested
 universe, of which scored units are subsets) or loaded from a CSV export so
-that an externally maintained global table can be used instead.
+that an externally maintained global table can be used instead. A table read
+back from its export equals the table written, so it scores the same.
 
 Document type is deliberately not part of the cell key. Cells whose members
 all have zero citations are retained with mean 0; the ratio-domain
@@ -26,8 +27,7 @@ from .errors import ValidationError
 _CSV_HEADER = ["field_id", "pub_year", "mean_citations", "cell_size"]
 # Nonzero cell means: one of whole counts is at least 1/cell_size, and within the range every
 # ratio and sum the indicators take is finite (math.fsum raises OverflowError beyond it).
-# The CSV admits only the means compute_baselines writes at 6 decimals.
-_MIN_MEAN, _MIN_CSV_MEAN, _MAX_MEAN = 2.0 ** -53, 0.000001, float(_MAX_CITATIONS)
+_MIN_MEAN, _MAX_MEAN = 2.0 ** -53, float(_MAX_CITATIONS)
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,10 @@ def expected_citations(table: BaselineTable, pub: Publication) -> float:
 
 
 def write_baselines(table: BaselineTable, path: str | Path) -> None:
-    """Export the table as CSV, rows sorted by (field_id, pub_year)."""
+    """Export the table as CSV, rows sorted by (field_id, pub_year), each mean as its
+    ``repr``: the shortest text that reads back as the same double."""
     _write_text(path, _csv_text(_CSV_HEADER, (
-        [fid, year, f"{cell.mean_citations:.6f}", cell.cell_size]
+        [fid, year, repr(float(cell.mean_citations)), cell.cell_size]
         for (fid, year), cell in sorted(table.cells.items()))))
 
 
@@ -138,9 +139,9 @@ def _csv_real(text: str) -> float:
 
 def _csv_rows(path: str | Path, what: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows after the header of a UTF-8 CSV file, each with its row number.
-    A header other than ``header``, or a row that the csv module or UTF-8 rejects, is a
-    one-line error naming it. ``surrogateescape`` turns a byte that is not UTF-8 into a
-    lone surrogate, which no valid row holds."""
+    A header other than ``header``, a row of another width, or a row that the csv module or
+    UTF-8 rejects, is a one-line error naming it. ``surrogateescape`` turns a byte that is
+    not UTF-8 into a lone surrogate, which no valid row holds."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         rows = csv.reader(handle)
         for row_no in count(1):
@@ -155,27 +156,26 @@ def _csv_rows(path: str | Path, what: str, header: list[str]) -> Iterator[tuple[
             if row is None:
                 return
             if row and row_no > 1:
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{what} CSV row {row_no}: expected {len(header)} columns")
                 yield row_no, row
 
 
 def read_baselines(path: str | Path) -> BaselineTable:
-    """Load a CSV baseline export (means carry 6 decimal places). A mean is 0 or lies
-    in [0.000001, 2**53 - 1], as :func:`compute_baselines` writes it; any other mean
-    is an invalid cell."""
+    """Load a CSV baseline export. Each row must be a :class:`BaselineCell`, so a mean is 0
+    or lies in [2**-53, 2**53 - 1]; :func:`write_baselines` writes each mean exactly, and
+    a file written with 6 decimals still reads."""
     cells: dict[tuple[str, int], BaselineCell] = {}
-    for row_no, row in _csv_rows(path, "baseline", _CSV_HEADER):
-        if len(row) != 4:
-            raise ValidationError(f"baseline CSV row {row_no}: expected 4 columns")
-        fid, year_s, mean_s, size_s = row
+    for row_no, (fid, year_s, mean_s, size_s) in _csv_rows(path, "baseline", _CSV_HEADER):
         try:
             year = _csv_int(year_s)
-            mean = _csv_real(mean_s)
-            size = _csv_int(size_s)
+            cell = BaselineCell(mean_citations=_csv_real(mean_s), cell_size=_csv_int(size_s))
+        except ValidationError:
+            raise ValidationError(f"baseline CSV row {row_no}: invalid cell") from None
         except ValueError:
             raise ValidationError(f"baseline CSV row {row_no}: malformed values") from None
-        if not (mean == 0 or _MIN_CSV_MEAN <= mean <= _MAX_MEAN) or size < 1:
-            raise ValidationError(f"baseline CSV row {row_no}: invalid cell")
         if (fid, year) in cells:
             raise ValidationError(f"baseline CSV row {row_no}: duplicate cell ({fid}, {year})")
-        cells[(fid, year)] = BaselineCell(mean_citations=mean, cell_size=size)
+        cells[(fid, year)] = cell
     return BaselineTable(cells=cells)

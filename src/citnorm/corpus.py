@@ -218,9 +218,9 @@ def _checked_columns(columns: Sequence[tuple], census: int, first: int,
                      line_nos: Sequence[int] | None = None) -> Sequence[tuple]:
     """``columns`` (in ``_COLUMNS`` order) of checked records, in id order, after the
     corpus-level checks, the first fault ending them: ids unique, as :func:`parse_corpus`
-    checks an id as its line is read; each record's span in the order given (its year in
-    [first, census], a by-year row to the census with no gaps that ends at its total); then
-    ``first`` against ``census``. With ``line_nos``, one per record, a fault names its line."""
+    checks an id as its line is read; ``census`` and ``first`` ints; each record's span in
+    order (its year in [first, census], a by-year row to the census with no gaps that ends at
+    its total); then ``first`` against ``census``. With ``line_nos``, a fault names its line."""
     def error(i: int, message: str) -> ValidationError:
         return ValidationError(message if line_nos is None else f"line {line_nos[i]}: {message}")
 
@@ -230,6 +230,9 @@ def _checked_columns(columns: Sequence[tuple], census: int, first: int,
         index: dict[str, int] = {}  # the first record whose id an earlier one holds is named
         i = next(i for i, pid in enumerate(ids) if index.setdefault(pid, i) != i)
         raise error(i, f"duplicate id {ids[i]}")
+    for name, year in (("census_year", census), ("first_year", first)):
+        if type(year) is not int:  # type(): a bool is no year
+            raise ValidationError(f"{name} {year!r} must be an integer")
     for i, (pid, year, total, row) in enumerate(zip(ids, columns[3], columns[5], columns[6])):
         if not first <= year <= census:
             fault = f"pub_year {year} outside [{first}, {census}]"

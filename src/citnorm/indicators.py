@@ -294,18 +294,8 @@ def read_scores(path: str | Path) -> list[UnitScore]:
     scores: list[UnitScore] = []
     seen: set[str] = set()
     for row_no, row in _csv_rows(path, "scores", _SCORES_HEADER):
-        if len(row) != len(_SCORES_HEADER):
-            raise ValidationError(f"scores CSV row {row_no}: wrong column count")
         try:
-            score = UnitScore(
-                unit_id=row[0],
-                n_total=_csv_int(row[1]),
-                n_mncs2=_csv_int(row[2]),
-                n_excluded_zero_e=_csv_int(row[3]),
-                cpp_fcsm=_parse_value(row[4]),
-                mncs1=_parse_value(row[5]),
-                mncs2=_parse_value(row[6]),
-            )
+            score = UnitScore(row[0], *map(_csv_int, row[1:4]), *map(_parse_value, row[4:]))
         except ValueError:
             raise ValidationError(f"scores CSV row {row_no}: malformed values") from None
         if not score.unit_id:

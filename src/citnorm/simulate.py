@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -45,6 +46,7 @@ from .errors import ValidationError
 
 # Shape stream seed; independent of config.seed by design (see module docs).
 _SHAPE_SEED = 0x5EED5
+_MAX_FLOAT = sys.float_info.max  # unlike math.isfinite, comparing an int with it cannot overflow
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,8 +73,11 @@ class SimulationConfig:
     same_year_damping: float = 0.1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fields", tuple(self.fields))
-        object.__setattr__(self, "units", tuple(self.units))
+        for name in ("fields", "units"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:  # not iterable
+                raise ValidationError(f"{name} must be a list") from None
         _check_types(self, "")
         for kind, spec_type, specs in (("field", FieldSpec, self.fields),
                                        ("unit", UnitSpec, self.units)):
@@ -94,14 +99,14 @@ class SimulationConfig:
         if self.census_year < self.first_year:
             raise ValidationError("census_year must not precede first_year")
         for f in self.fields:
-            if not (math.isfinite(f.rate) and f.rate > 0):
+            if not 0 < f.rate <= _MAX_FLOAT:
                 raise ValidationError(f"field '{f.field_id}': rate must be finite and > 0")
         for u in self.units:
-            if not (math.isfinite(u.quality) and u.quality > 0):
+            if not 0 < u.quality <= _MAX_FLOAT:
                 raise ValidationError(f"unit '{u.unit_id}': quality must be finite and > 0")
             if u.n_pubs < 1:
                 raise ValidationError(f"unit '{u.unit_id}': n_pubs must be >= 1")
-        if not (math.isfinite(self.dispersion) and self.dispersion >= 0):
+        if not 0 <= self.dispersion <= _MAX_FLOAT:
             raise ValidationError("dispersion must be finite and >= 0")
         if self.dispersion > 0:
             _gamma_shape_scale(self.dispersion)
@@ -154,12 +159,12 @@ def config_from_dict(obj: dict) -> SimulationConfig:
     """A :class:`SimulationConfig` from parsed JSON: no value is coerced, no unknown key kept."""
     try:
         _json_object(obj, SimulationConfig, "the config")
-        fields = [FieldSpec(**_json_object(f, FieldSpec, f"fields[{i}]"))
-                  for i, f in enumerate(obj["fields"])]
-        units = [UnitSpec(**_json_object(u, UnitSpec, f"units[{i}]"))
-                 for i, u in enumerate(obj["units"])]
-        return SimulationConfig(**{**obj, "fields": fields, "units": units})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        specs = {key: [spec_type(**_json_object(spec, spec_type, f"{key}[{i}]"))
+                       for i, spec in enumerate(obj[key])]
+                 for key, spec_type in (("fields", FieldSpec), ("units", UnitSpec))
+                 if type(obj[key]) is list}  # SimulationConfig names any other value
+        return SimulationConfig(**{**obj, **specs})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad simulation config: {exc}") from None
 
 

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citnorm.baseline import (
     BaselineCell,
@@ -17,7 +17,7 @@ from citnorm.baseline import (
 )
 from citnorm.corpus import Corpus
 from citnorm.errors import ValidationError
-from citnorm.indicators import score_units
+from citnorm.indicators import read_scores, score_units
 
 from conftest import make_corpus, make_pub
 
@@ -142,9 +142,25 @@ def test_csv_round_trip(tmp_path):
     write_baselines(table, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "field_id,pub_year,mean_citations,cell_size"
-    assert lines[1] == "F,2005,4.500000,2"  # sorted by (field, year), 6 decimals
+    assert lines[1] == "F,2005,4.5,2"  # sorted by (field, year), each mean as its repr
     again = read_baselines(path)
     assert again.cells == table.cells
+
+
+@given(st.lists(st.tuples(st.sampled_from(["F", "G"]), st.integers(2000, 2004),
+                          st.integers(0, 2 ** 53 - 1) | st.integers(0, 7)),
+                min_size=1, max_size=40))
+@example([("F", 2000, 1)] + [("F", 2000, 0)] * 2999)  # 6 decimals read 1/3000 as 0.000333
+@settings(max_examples=60)
+def test_csv_round_trip_is_exact(tmp_path_factory, rows):
+    # means such as 1/3 or 2**53 - 1 over 7 need all 17 significant digits
+    corpus = make_corpus([make_pub(f"p{i:03d}", field=f, year=y, citations=c)
+                          for i, (f, y, c) in enumerate(rows)],
+                         census_year=2004, first_year=2000)
+    path = tmp_path_factory.mktemp("exact") / "baselines.csv"
+    table = compute_baselines(corpus)
+    write_baselines(table, path)
+    assert read_baselines(path).cells == table.cells
 
 
 def test_read_rejects_bad_header(tmp_path):
@@ -217,9 +233,14 @@ def test_expected_count_does_not_depend_on_field_order():
         expected_citations(table, make_pub("Z", fields=("f1", "g9", "g1")))
 
 
+# BaselineCell's range, 0 or [2**-53, 2**53 - 1], is the reader's: 6-decimal means as
+# older files hold them, and repr forms of any mean in the range
 @pytest.mark.parametrize("mean, accepted", [
     ("0.000000", True), ("0.000001", True), ("9007199254740991.000000", True),
-    ("0.0000009", False), ("9007199254740992", False), ("1e-300", False), ("1e308", False),
+    ("0.0000009", True), ("1e-07", True), ("5e-07", True), (repr(2.0 ** -53), True),
+    ("0.0", True), ("9007199254740991.0", True),
+    ("9007199254740992", False), ("1e-17", False), ("1e-300", False), ("1e308", False),
+    ("nan", False),
 ])
 def test_read_accepts_only_means_compute_baselines_can_write(tmp_path, mean, accepted):
     path = tmp_path / "baselines.csv"
@@ -229,6 +250,22 @@ def test_read_accepts_only_means_compute_baselines_can_write(tmp_path, mean, acc
     else:
         with pytest.raises(ValidationError, match="^baseline CSV row 2: invalid cell$"):
             read_baselines(path)
+
+
+@pytest.mark.parametrize("reader, header, row, width", [
+    (read_baselines, "field_id,pub_year,mean_citations,cell_size", "F,2005,1.0", 4),
+    (read_baselines, "field_id,pub_year,mean_citations,cell_size", "F,2005,1.0,1,", 4),
+    (read_scores, "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2",
+     "u1,3,3,0,1.0000,1.0000", 7),
+    (read_scores, "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2",
+     "u1,3,3,0,1.0000,1.0000,1.0000,1.0000", 7),
+], ids=["baselines-short", "baselines-long", "scores-short", "scores-long"])
+def test_a_row_of_another_width_is_named(tmp_path, reader, header, row, width):
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{row}\n")
+    what = "baseline" if reader is read_baselines else "scores"
+    with pytest.raises(ValidationError, match=f"^{what} CSV row 2: expected {width} columns$"):
+        reader(path)
 
 
 # mean, cell_size; a comment names what scoring would make of the cell if it were admitted

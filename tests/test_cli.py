@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import pytest
 
 from citnorm.cli import _build_parser, main
+from citnorm.corpus import Corpus, Publication, write_corpus
 from citnorm.errors import ValidationError
 from citnorm.simulate import FieldSpec, SimulationConfig, UnitSpec, config_from_dict
 
@@ -89,16 +90,45 @@ def test_score_subset_and_external_baselines(workdir):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
 
-    # external baselines carry 6-decimal means, so scores may shift a hair
+    # the baselines CSV holds each mean exactly, so each row is the full run's
     full = {line.split(",")[0]: line for line in
             (workdir / "scores.csv").read_text().splitlines()[1:]}
-    subset = {line.split(",")[0]: line for line in lines[1:]}
-    for uid, row in subset.items():
-        own = full[uid].split(",")
-        ext = row.split(",")
-        assert own[:4] == ext[:4]
-        for a, b in zip(own[4:], ext[4:]):
-            assert float(a) == pytest.approx(float(b), abs=2e-4)
+    assert all(full[row.split(",")[0]] == row for row in lines[1:])
+
+
+# low field rates give small cell means, whose 6-decimal rounding changed a printed score
+ROUTES_CONFIG = {
+    "fields": [{"field_id": "rare", "rate": 0.02}, {"field_id": "slow", "rate": 0.1},
+               {"field_id": "fast", "rate": 2.5}],
+    "units": [{"unit_id": f"u{i:02d}", "quality": 0.5 + i / 40, "n_pubs": 30} for i in range(40)],
+    "first_year": 2000, "census_year": 2009, "dispersion": 0.8,
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3],
+                         ids=lambda seed: "crafted" if seed is None else f"seed{seed}")
+def test_both_scoring_routes_write_the_same_scores(tmp_path, seed):
+    # score over baselines computed in memory, or over the baselines CSV: with 6-decimal
+    # means the crafted cell of 3,000 publications and one citation read back as 0.000333,
+    # and u1's scores as 300.3003, as did one value in each of seeds 0 to 2
+    corpus = str(tmp_path / "corpus.jsonl")
+    if seed is None:
+        write_corpus(Corpus([Publication(f"p{i:04d}", ("u1" if i < 10 else "u2",), ("f",),
+                                         2005, "article", int(i == 0)) for i in range(3000)],
+                            census_year=2009, first_year=2005), corpus)
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({**ROUTES_CONFIG, "seed": seed}))
+        assert main(["simulate", "--config", str(tmp_path / "config.json"), "--out", corpus]) == 0
+    common = ["--corpus", corpus, "--census", "2009"]
+    baselines = str(tmp_path / "baselines.csv")
+    assert main(["baselines", *common, "--out", baselines]) == 0
+    for name, extra in (("direct.csv", []), ("via.csv", ["--baselines", baselines])):
+        assert main(["score", *common, "--units", "all", *extra,
+                     "--out", str(tmp_path / name)]) == 0
+    direct = (tmp_path / "direct.csv").read_text()
+    assert (tmp_path / "via.csv").read_text() == direct
+    if seed is None:
+        assert direct.splitlines()[1] == "u1,10,10,0,300.0000,300.0000,300.0000"
 
 
 def test_score_unknown_unit_fails_validation(workdir, capsys):
@@ -353,11 +383,16 @@ HOSTILE_CONFIG_VALUES = [
     (None, "seeds", 1),
     ("fields", "weight", 1),
     ("units", "country", "NL"),
+    (None, "fields", 5),
+    (None, "units", None),
+    (None, "dispersion", 10 ** 400),
+    ("fields", "rate", 10 ** 400),
+    ("units", "quality", -10 ** 400),
 ]
 
 
 @pytest.mark.parametrize("section, key, value", HOSTILE_CONFIG_VALUES,
-                         ids=[f"{key}={value!r}" for _, key, value in HOSTILE_CONFIG_VALUES])
+                         ids=[f"{key}={value!r:.30}" for _, key, value in HOSTILE_CONFIG_VALUES])
 def test_hostile_simulation_config_is_one_line_error(tmp_path, capsys, section, key, value):
     config = json.loads(json.dumps(CONFIG))
     (config if section is None else config[section][0])[key] = value
@@ -383,7 +418,7 @@ KNOWN_KEY_VALUES = [case for case in HOSTILE_CONFIG_VALUES if case[1] in CONFIG_
 
 
 @pytest.mark.parametrize("section, key, value", KNOWN_KEY_VALUES,
-                         ids=[f"{key}={value!r}" for _, key, value in KNOWN_KEY_VALUES])
+                         ids=[f"{key}={value!r:.30}" for _, key, value in KNOWN_KEY_VALUES])
 def test_config_built_in_code_is_checked_as_its_json(section, key, value):
     # the dataclasses are the one schema: a value the reader rejects, the constructor
     # rejects in the same words, and one the reader lets through, so does the constructor

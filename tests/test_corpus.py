@@ -532,6 +532,18 @@ ONE_CHECK_CASES = {
     "first duplicate in the order given": (
         [make_pub("B"), make_pub("A"), make_pub("B"), make_pub("A")], 2010, 2000,
         "duplicate id B"),
+    # a census or first year whose type() is not int, after the ids and before any span
+    "census year a float": (
+        [make_pub("P1")], 2010.0, 2000, "census_year 2010.0 must be an integer"),
+    "census year a string": (
+        [make_pub("P1")], "2010", 2000, "census_year '2010' must be an integer"),
+    "census year a bool": ([make_pub("P1")], True, 2000, "census_year True must be an integer"),
+    "first year a float": (
+        [make_pub("P1")], 2010, 2000.0, "first_year 2000.0 must be an integer"),
+    "duplicate before year type": (
+        [make_pub("P1"), make_pub("P1")], 2010, False, "duplicate id P1"),
+    "year type before span": (
+        [make_pub("P1", year=1999)], 2010, False, "first_year False must be an integer"),
 }
 
 

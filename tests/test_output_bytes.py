@@ -51,7 +51,7 @@ def pinned_corpus() -> Corpus:
 # sha256 of each output, recorded on the code these tests were written against
 DIGESTS = {
     "corpus.jsonl": "0751c09b17842139c71d1e0403b25c93f5f48b27140244dc3c3fcbe12f1fa6bc",
-    "baselines.csv": "f8de84fd1f781e2871d35d6900a07e8ca22ddd9eb01fffcf8d8bb34668d5a95e",
+    "baselines.csv": "e5a58345c6a64449bfdfb98ad0d7238d206c4be34369d2ef48e57122708f1fef",
     "scores.csv": "5a8c08e813fa2e318f6021bd28db1be8a6888b1604ff0450501238b25802833b",
     "scores_subset.csv": "63b00ab6fe23364809355d43d32a0945432285339ffaff7ba3364c5bab7e5b16",
     "correlations.csv": "5317f2e02d865fbe3f9ad6fdad38fb364c3f6aa96476fc7b4e9507eb3ba6545e",
