@@ -30,9 +30,9 @@ ordered pass of checks, the first fault ending the read with its line number:
 the line's UTF-8 and JSON; the raw record's shape (an object, unknown keys,
 missing keys, array id lists, a string ``doc_type``, the by-year object and
 its keys); the values, through the same two checks that :class:`Publication`
-makes (:func:`_check_ids`, :func:`_check_counts`); the id's uniqueness. Once all
-lines are read and the census year is known (when not given, the largest year the
-records carry), :func:`_checked_columns` checks them as for ``Corpus(publications)``.
+makes (:func:`_check_ids`, :func:`_check_counts`). Once all lines are read and
+the census year is known (when not given, the largest year the records carry),
+:func:`_checked_columns` checks them as for ``Corpus(publications)``, ids first.
 
 A :class:`Corpus` holds one column per fact, in the order above, not one object per
 record. :class:`Publication` objects are built from the columns only where a caller
@@ -217,10 +217,10 @@ _COLUMNS = ("ids", "units", "fields", "pub_years", "doc_types", "totals", "by_ye
 def _checked_columns(columns: Sequence[tuple], census: int, first: int,
                      line_nos: Sequence[int] | None = None) -> Sequence[tuple]:
     """``columns`` (in ``_COLUMNS`` order) of checked records, in id order, after the
-    corpus-level checks, the first fault ending them: ids unique, as :func:`parse_corpus`
-    checks an id as its line is read; ``census`` and ``first`` ints; each record's span in
-    order (its year in [first, census], a by-year row to the census with no gaps that ends at
-    its total); then ``first`` against ``census``. With ``line_nos``, a fault names its line."""
+    corpus-level checks, the first fault ending them: ids unique; ``census`` and ``first``
+    ints; each record's span in order (its year in [first, census], a by-year row to the
+    census with no gaps that ends at its total); then ``first`` against ``census``. With
+    ``line_nos``, a fault names its line."""
     def error(i: int, message: str) -> ValidationError:
         return ValidationError(message if line_nos is None else f"line {line_nos[i]}: {message}")
 
@@ -388,14 +388,13 @@ class _RecordReader:
     sequence of by-year keys is read once, and each ``doc_type`` string is kept once.
     """
 
-    __slots__ = ("field_lists", "unit_lists", "key_years", "doc_types", "ids", "records")
+    __slots__ = ("field_lists", "unit_lists", "key_years", "doc_types", "records")
 
     def __init__(self) -> None:
         self.field_lists: dict[tuple, tuple[str, ...]] = {}
         self.unit_lists: dict[tuple, tuple[str, ...]] = {}
         self.key_years: dict[tuple[str, ...], tuple] = {}
         self.doc_types: dict[str, str] = {}
-        self.ids: set[str] = set()
         # (id, unit_ids, field_ids, pub_year, doc_type, citations_total, by-year row)
         self.records: list[tuple] = []
 
@@ -434,9 +433,6 @@ class _RecordReader:
             field_ids = self.field_lists.setdefault(tuple(fields), tuple(fields))
             unit_ids = self.unit_lists.setdefault(tuple(units), tuple(units))
         _check_counts(pid, year, total, years, row)
-        if pid in self.ids:
-            raise ValidationError(f"duplicate id {pid}")
-        self.ids.add(pid)
         if row is not None and start != year:
             row = ()  # the keys are no run of years from pub_year: the row covers no span
         self.records.append((pid, unit_ids, field_ids, year,
@@ -508,9 +504,9 @@ def _read_batch(reader: _RecordReader, lines: list[str], line_nos: list[int],
     - with no merge possible, each line starts at least one element, and n elements for n
       lines rule out two records on one line.
 
-    Any other batch is undone, its records and their ids, and read again line by line. As
-    lines that each read alone also count as a batch, that read always names a fault. The
-    reader's memos are kept: they hold only values that passed their checks.
+    Any other batch is undone and read again line by line. As lines that each read alone
+    also count as a batch, that read always names a fault. The reader's memos are kept:
+    they hold only values that passed their checks.
     """
     kept = len(reader.records)
     try:
@@ -520,7 +516,6 @@ def _read_batch(reader: _RecordReader, lines: list[str], line_nos: list[int],
                 deque(map(reader.read, records), maxlen=0)
                 return
     except ValidationError:
-        reader.ids.difference_update(map(itemgetter(0), reader.records[kept:]))
         del reader.records[kept:]
     for line_no, line in zip(line_nos, lines):
         try:

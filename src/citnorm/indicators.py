@@ -269,15 +269,16 @@ def format_value(value: float | None, decimals: int = 4) -> str:
 
 
 def write_scores(scores: Sequence[UnitScore], path: str | Path) -> None:
-    """Export unit scores as CSV, rows sorted by unit_id, reals to 4 dp."""
+    """Export unit scores as CSV, rows sorted by unit_id, each real as its exact ``repr``."""
     _write_text(path, _csv_text(_SCORES_HEADER, (
         [score.unit_id, score.n_total, score.n_mncs2, score.n_excluded_zero_e,
-         *(format_value(getattr(score, name)) for name in INDICATOR_NAMES)]
+         *("NA" if value is None else repr(float(value))
+           for value in (getattr(score, name) for name in INDICATOR_NAMES))]
         for score in sorted(scores, key=lambda s: s.unit_id))))
 
 
 def _parse_value(text: str) -> float | None:
-    """A real as :func:`format_value` writes it: NA is None, and nan or inf are malformed."""
+    """An indicator, as any finite real: NA is None, and nan or inf are malformed."""
     value = None if text == "NA" else _csv_real(text)
     if value is not None and not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
@@ -287,9 +288,9 @@ def _parse_value(text: str) -> float | None:
 def read_scores(path: str | Path) -> list[UnitScore]:
     """Load a scores CSV written by :func:`write_scores`.
 
-    A row :func:`write_scores` cannot write is an error naming it: an empty or
-    repeated unit id, or counts outside 1 <= n_total, 0 <= n_mncs2 <= n_total and
-    0 <= n_excluded_zero_e <= n_total.
+    A row :func:`write_scores` cannot write is an error naming it: an empty or repeated
+    unit id, counts outside 1 <= n_total, 0 <= n_mncs2 <= n_total and 0 <= n_excluded_zero_e
+    <= n_total, a negative indicator, or a defined mncs2 over an n_mncs2 of 0.
     """
     scores: list[UnitScore] = []
     seen: set[str] = set()
@@ -306,5 +307,8 @@ def read_scores(path: str | Path) -> list[UnitScore]:
         if not (1 <= score.n_total and 0 <= score.n_mncs2 <= score.n_total
                 and 0 <= score.n_excluded_zero_e <= score.n_total):
             raise ValidationError(f"scores CSV row {row_no}: invalid counts")
+        if any(v is not None and v < 0 for v in (score.cpp_fcsm, score.mncs1, score.mncs2)) or (
+                score.n_mncs2 == 0 and score.mncs2 is not None):
+            raise ValidationError(f"scores CSV row {row_no}: invalid values")
         scores.append(score)
     return scores

@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import runpy
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from citnorm.cli import _build_parser, main
 from citnorm.corpus import Corpus, Publication, write_corpus
 from citnorm.errors import ValidationError
+from citnorm.indicators import INDICATOR_NAMES
 from citnorm.simulate import FieldSpec, SimulationConfig, UnitSpec, config_from_dict
 
 from conftest import run_module
@@ -128,7 +132,37 @@ def test_both_scoring_routes_write_the_same_scores(tmp_path, seed):
     direct = (tmp_path / "direct.csv").read_text()
     assert (tmp_path / "via.csv").read_text() == direct
     if seed is None:
-        assert direct.splitlines()[1] == "u1,10,10,0,300.0000,300.0000,300.0000"
+        assert direct.splitlines()[1] == "u1,10,10,0,300.0,300.0,300.0"
+
+
+COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_indicators.py"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_chain_writes_what_the_library_computes(tmp_path, monkeypatch, capsys, seed):
+    # compare_indicators.py correlates, ranks and plots the scores it holds in memory; the
+    # CLI chain reads them back from scores.csv, which must hold each indicator exactly
+    bundle, chain = tmp_path / "bundle", tmp_path / "chain"
+    monkeypatch.setattr(sys, "argv", [str(COMPARE_SCRIPT), "--out-dir", str(bundle),
+                                      "--seed", str(seed)])
+    runpy.run_path(str(COMPARE_SCRIPT), run_name="__main__")
+    chain.mkdir()
+    scores = str(chain / "scores.csv")
+    assert main(["score", "--corpus", str(bundle / "corpus.jsonl"), "--census", "2000",
+                 "--units", "all", "--out", scores]) == 0
+    assert main(["correlate", "--scores", scores, "--out", str(chain / "correlations.csv")]) == 0
+    for y in ("mncs1", "mncs2"):
+        assert main(["plot", "--scores", scores, "--x", "cpp_fcsm", "--y", y,
+                     "--threshold", "50", "--out", str(chain / f"scatter_{y}.svg")]) == 0
+    capsys.readouterr()
+    for indicator in INDICATOR_NAMES:
+        assert main(["rank", "--scores", scores, "--by", indicator, "--top", "10"]) == 0
+        (chain / f"ranking_{indicator}.csv").write_text(capsys.readouterr().out,
+                                                         encoding="utf-8")
+    written = sorted(path.name for path in chain.iterdir())
+    assert len(written) == 7
+    for name in written:
+        assert (chain / name).read_bytes() == (bundle / name).read_bytes(), name
 
 
 def test_score_unknown_unit_fails_validation(workdir, capsys):

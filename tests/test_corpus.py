@@ -76,6 +76,14 @@ class TestParse:
         with pytest.raises(ValidationError, match="line 2: duplicate id P1"):
             parse_corpus(path, census_year=2010, first_year=2000)
 
+    def test_record_fault_is_named_before_an_earlier_duplicate_id(self, tmp_path):
+        # each record's own checks come first, then the ids, as for Corpus(publications)
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record("P1"), record("P1"), record("")])
+        with pytest.raises(ValidationError) as info:
+            parse_corpus(path, census_year=2010, first_year=2000)
+        assert str(info.value) == "line 3: publication id must be a non-empty string"
+
     def test_repeated_field_id_names_its_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1"), record("P2", field_ids=["f1", "f2", "f1"])])

@@ -464,17 +464,20 @@ def test_score_units_equals_per_unit_scan(corpus, data):
         assert score_units(corpus, table, subset) == reference_scores(corpus, table, subset)
 
 
-def test_scores_csv_round_trip(tmp_path):
-    scores = [
-        us("alpha", cpp=1.5, m1=2.25, m2=None, n=12, n2=10),
-        us("beta", cpp=None, m1=0.5, m2=0.5, n=3, n2=3),
-    ]
-    path = tmp_path / "scores.csv"
+# indicator values, among them ones that need all 17 significant digits to read back
+indicator_values = st.one_of(
+    st.none(), st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([1 / 3, 0.1 + 0.2, 5e-324, 1.7976931348623157e308]))
+
+
+@given(st.lists(st.tuples(indicator_values, indicator_values, indicator_values), max_size=6))
+@settings(max_examples=200)
+def test_scores_csv_round_trip(tmp_path_factory, values):
+    scores = [us(f"u{i}", cpp, m1, m2) for i, (cpp, m1, m2) in enumerate(values)]
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
     write_scores(scores, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2"
-    assert lines[1] == "alpha,12,10,0,1.5000,2.2500,NA"
-    assert lines[2] == "beta,3,3,0,NA,0.5000,0.5000"
+    assert path.read_text().splitlines()[0] == (
+        "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2")
     assert read_scores(path) == scores
 
 
@@ -542,8 +545,13 @@ SCORES_HEADER = "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\
     (["u1,3,-1,0,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
     (["u1,3,3,4,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
     (["u1,3,3,-1,1.0000,1.0000,1.0000"], "scores CSV row 2: invalid counts"),
+    (["u1,2,0,0,-1.5,NA,3.0"], "scores CSV row 2: invalid values"),
+    (["u1,3,3,0,1.0,-0.5,1.0"], "scores CSV row 2: invalid values"),
+    (["u1,3,3,0,1.0,1.0,-5e-324"], "scores CSV row 2: invalid values"),
+    (["u1,3,0,0,1.0,1.0,1.0"], "scores CSV row 2: invalid values"),
 ], ids=["empty-unit", "duplicate-unit", "all-counts", "n_total-0", "n_mncs2-above",
-        "n_mncs2-negative", "excluded-above", "excluded-negative"])
+        "n_mncs2-negative", "excluded-above", "excluded-negative", "negative-and-mncs2-over-none",
+        "negative-mncs1", "negative-mncs2", "mncs2-over-none"])
 def test_read_scores_rejects_rows_write_scores_never_writes(tmp_path, rows, message):
     path = tmp_path / "scores.csv"
     path.write_text(SCORES_HEADER + "".join(row + "\n" for row in rows), encoding="utf-8")

@@ -68,7 +68,6 @@ def reference_record(obj, line_no: int) -> Publication:
 
 def reference_parse(path, census_year=None, first_year=None) -> Corpus:
     numbered: list[tuple[int, Publication]] = []
-    seen = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -86,11 +85,14 @@ def reference_parse(path, census_year=None, first_year=None) -> Corpus:
             except ValueError:
                 raise ValidationError(f"line {line_no}: integer literal longer than "
                                       f"{sys.get_int_max_str_digits()} digits") from None
-            pub = reference_record(obj, line_no)
-            if pub.id in seen:
-                raise ValidationError(f"line {line_no}: duplicate id {pub.id}")
-            seen.add(pub.id)
-            numbered.append((line_no, pub))
+            numbered.append((line_no, reference_record(obj, line_no)))
+    # ids are checked once every record has passed its own checks, as Corpus(publications)
+    # checks them, so a repeat is named at its second line
+    seen = set()
+    for line_no, pub in numbered:
+        if pub.id in seen:
+            raise ValidationError(f"line {line_no}: duplicate id {pub.id}")
+        seen.add(pub.id)
     if census_year is None:
         if not numbered:
             raise ValidationError(f"cannot infer a census year from {path}")

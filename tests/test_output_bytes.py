@@ -52,15 +52,15 @@ def pinned_corpus() -> Corpus:
 DIGESTS = {
     "corpus.jsonl": "0751c09b17842139c71d1e0403b25c93f5f48b27140244dc3c3fcbe12f1fa6bc",
     "baselines.csv": "e5a58345c6a64449bfdfb98ad0d7238d206c4be34369d2ef48e57122708f1fef",
-    "scores.csv": "5a8c08e813fa2e318f6021bd28db1be8a6888b1604ff0450501238b25802833b",
-    "scores_subset.csv": "63b00ab6fe23364809355d43d32a0945432285339ffaff7ba3364c5bab7e5b16",
-    "correlations.csv": "5317f2e02d865fbe3f9ad6fdad38fb364c3f6aa96476fc7b4e9507eb3ba6545e",
-    "correlations_min.csv": "23b39874ed9b1be9571df2fcc95c5413a4be10bd64e688aa243cede47b914482",
+    "scores.csv": "fd252ba28ef79ae6a0a1c3c254f91799a2bed30c6f89ebd06fd7f55d1db7c9a9",
+    "scores_subset.csv": "2edc4e989c8d5b5e5f134baaef492c14b636ddcc578ac87209c9173e687e4b92",
+    "correlations.csv": "dda757bcdb0038118bc24ca520a4ccae25130c88672e86491656d63c3d0fd1b2",
+    "correlations_min.csv": "a5f7dc52c16c9fd28e873501ff21ed40817ab0e73b1879d722dc2a4ddea4fc51",
     "trajectory.csv": "57e04e2a3f62c641c88fa7d5f86fd98118b93c9abefa713cc9c2c2eec27c2cc1",
     "trajectory_inferred.csv": "c9d9592b128988414057de582c2d3c35e12e230e488c822739a05b27b9a6039d",
     "age.csv": "b21d533e7612638886e4f37a72d5f9488882468ec2ba94943e68281882b3cf46",
     "age_inferred.csv": "e9c12aa85be7032b5c9768a51e1fbff08e4deaf2f4a09c3d8faaaf30d32d1d6c",
-    "plot.svg": "fa7ee3dde6058abf7ba44a3ae90c8706dfb6be58bb3c132adf6d613d5e93c660",
+    "plot.svg": "da8736bee3cf86f987f09f0cd5b6dd68268759b728e2da5be2d95c634bbf8130",
     "rank.csv": "61de955545ce940b8d68fc7ab1f3bf2a5928c0c34d9101c3b01f08102b58dfd2",
 }
 
