@@ -37,18 +37,21 @@ the census year is known (when not given, the largest year the records carry),
 A :class:`Corpus` holds one column per fact, in the order above, not one object per
 record. :class:`Publication` objects are built from the columns only where a caller
 asks for them, each ``citations_by_year`` a read-only :class:`CitationsByYear` over its row.
+That build, :func:`parse_corpus` and the simulator run with the cyclic collector paused.
 
 Every file citnorm writes goes through :func:`_write_text`, whole or not at all. An id
 holding a lone surrogate (a ``"\\ud800"`` escape) is an error only there, as UTF-8 cannot hold it.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import stat
 import sys
 from collections import deque
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -61,6 +64,18 @@ from .errors import ValidationError
 # Largest integer a float64 holds exactly; indicator arithmetic converts counts to float.
 _MAX_CITATIONS = 2 ** 53 - 1
 _INT_ONLY = frozenset({int})
+
+
+@contextmanager
+def _gc_paused():
+    """The cyclic collector off, then on again if it was: for builders of records with no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class CitationsByYear(Mapping):
@@ -334,6 +349,7 @@ def _fill(corpus: Corpus, census_year: int, first_year: int, *columns: tuple) ->
         object.__setattr__(corpus, name, value)
 
 
+@_gc_paused()
 def _materialize(corpus: Corpus) -> tuple[Publication, ...]:
     """Every publication of ``corpus``, built column by column.
 
@@ -524,6 +540,7 @@ def _read_batch(reader: _RecordReader, lines: list[str], line_nos: list[int],
             raise ValidationError(f"line {line_no}: {exc}") from None
 
 
+@_gc_paused()
 def parse_corpus(path: str | Path, census_year: int | None = None,
                  first_year: int | None = None) -> Corpus:
     """Parse a JSON Lines publication file into a validated :class:`Corpus`.

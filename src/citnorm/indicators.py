@@ -290,7 +290,7 @@ def read_scores(path: str | Path) -> list[UnitScore]:
 
     A row :func:`write_scores` cannot write is an error naming it: an empty or repeated
     unit id, counts outside 1 <= n_total, 0 <= n_mncs2 <= n_total and 0 <= n_excluded_zero_e
-    <= n_total, a negative indicator, or a defined mncs2 over an n_mncs2 of 0.
+    <= n_total, a negative indicator, or an NA or a value where the counts rule out the other.
     """
     scores: list[UnitScore] = []
     seen: set[str] = set()
@@ -307,8 +307,10 @@ def read_scores(path: str | Path) -> list[UnitScore]:
         if not (1 <= score.n_total and 0 <= score.n_mncs2 <= score.n_total
                 and 0 <= score.n_excluded_zero_e <= score.n_total):
             raise ValidationError(f"scores CSV row {row_no}: invalid counts")
+        some_e = score.n_excluded_zero_e < score.n_total  # else every indicator divides by 0
         if any(v is not None and v < 0 for v in (score.cpp_fcsm, score.mncs1, score.mncs2)) or (
-                score.n_mncs2 == 0 and score.mncs2 is not None):
+                (score.cpp_fcsm is None, score.mncs1 is None) != (not some_e,) * 2) or (
+                score.mncs2 is not None and not (some_e and score.n_mncs2)):
             raise ValidationError(f"scores CSV row {row_no}: invalid values")
         scores.append(score)
     return scores

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _MAX_CITATIONS, Corpus
+from .corpus import _MAX_CITATIONS, Corpus, _gc_paused
 from .errors import ValidationError
 
 # Shape stream seed; independent of config.seed by design (see module docs).
@@ -180,6 +180,7 @@ def load_config(path: str | Path) -> SimulationConfig:
     return config_from_dict(obj)
 
 
+@_gc_paused()
 def generate_corpus(config: SimulationConfig) -> Corpus:
     """Generate a synthetic corpus; fully deterministic given the config.
 

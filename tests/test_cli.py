@@ -561,7 +561,7 @@ def test_deeply_nested_config_is_one_line_error(tmp_path, capsys):
 
 
 SCORES_CSV = (b"unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\n"
-              b"u1,3,3,0,1.2000,1.1000,0.9000\nu2,2,2,0,NA,0.8000,0.8000\n")
+              b"u1,3,3,0,1.2000,1.1000,0.9000\nu2,2,2,0,0.7000,0.8000,0.8000\n")
 BASELINES_CSV = b"field_id,pub_year,mean_citations,cell_size\nf1,2005,1.500000,2\n"
 CSV_COMMANDS = {
     "rank": ["rank", "--scores", "{scores}", "--by", "mncs1", "--top", "2"],

@@ -18,7 +18,7 @@ from citnorm.indicators import read_scores
 BASELINES = ("field_id,pub_year,mean_citations,cell_size\n"
              "f1,2008,1.500000,2\nf1,2009,0.000000,1\né2,2008,12.250000,4\n").encode()
 SCORES = ("unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\n"
-          "u1,3,3,0,1.2000,1.1000,0.9000\nu2,2,1,1,NA,0.8000,NA\n"
+          "u1,3,3,0,1.2000,1.1000,0.9000\nu2,2,1,1,0.6000,0.8000,NA\n"
           "ü3,4,4,0,0.0000,0.0000,0.0000\n").encode()
 BYTES = st.one_of(st.sampled_from(b'0123456789-+_ .eE",\r\n\x00\xc3\xa9\xffNA'),
                   st.integers(0, 255))

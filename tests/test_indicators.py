@@ -464,16 +464,22 @@ def test_score_units_equals_per_unit_scan(corpus, data):
         assert score_units(corpus, table, subset) == reference_scores(corpus, table, subset)
 
 
-# indicator values, among them ones that need all 17 significant digits to read back
-indicator_values = st.one_of(
-    st.none(), st.floats(min_value=0.0, allow_infinity=False),
+# defined indicator values, among them ones that need all 17 significant digits to read back
+defined_values = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
     st.sampled_from([1 / 3, 0.1 + 0.2, 5e-324, 1.7976931348623157e308]))
+# the scores score_units can give: none when every publication has e = 0; else cpp_fcsm and
+# mncs1, and mncs2 where a publication with a full citation year has e > 0
+unit_values = st.one_of(st.just((None, None, None)),
+                        st.tuples(defined_values, defined_values,
+                                  st.one_of(st.none(), defined_values)))
 
 
-@given(st.lists(st.tuples(indicator_values, indicator_values, indicator_values), max_size=6))
+@given(st.lists(unit_values, max_size=6))
 @settings(max_examples=200)
 def test_scores_csv_round_trip(tmp_path_factory, values):
-    scores = [us(f"u{i}", cpp, m1, m2) for i, (cpp, m1, m2) in enumerate(values)]
+    scores = [UnitScore(f"u{i}", 10, 9, 10 if cpp is None else 0, cpp, m1, m2)
+              for i, (cpp, m1, m2) in enumerate(values)]
     path = tmp_path_factory.mktemp("scores") / "scores.csv"
     write_scores(scores, path)
     assert path.read_text().splitlines()[0] == (
@@ -549,9 +555,17 @@ SCORES_HEADER = "unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\
     (["u1,3,3,0,1.0,-0.5,1.0"], "scores CSV row 2: invalid values"),
     (["u1,3,3,0,1.0,1.0,-5e-324"], "scores CSV row 2: invalid values"),
     (["u1,3,0,0,1.0,1.0,1.0"], "scores CSV row 2: invalid values"),
+    (["u2,2,2,2,1.0000,NA,NA"], "scores CSV row 2: invalid values"),
+    (["u1,2,2,2,NA,1.0000,NA"], "scores CSV row 2: invalid values"),
+    (["u1,2,2,2,NA,NA,1.0000"], "scores CSV row 2: invalid values"),
+    (["u1,2,2,1,NA,1.0000,1.0000"], "scores CSV row 2: invalid values"),
+    (["u1,2,2,1,1.0000,NA,1.0000"], "scores CSV row 2: invalid values"),
+    (["u1,2,2,0,NA,NA,NA"], "scores CSV row 2: invalid values"),
 ], ids=["empty-unit", "duplicate-unit", "all-counts", "n_total-0", "n_mncs2-above",
         "n_mncs2-negative", "excluded-above", "excluded-negative", "negative-and-mncs2-over-none",
-        "negative-mncs1", "negative-mncs2", "mncs2-over-none"])
+        "negative-mncs1", "negative-mncs2", "mncs2-over-none", "cpp-with-no-e",
+        "mncs1-with-no-e", "mncs2-with-no-e", "cpp-na-with-some-e", "mncs1-na-with-some-e",
+        "all-na-with-some-e"])
 def test_read_scores_rejects_rows_write_scores_never_writes(tmp_path, rows, message):
     path = tmp_path / "scores.csv"
     path.write_text(SCORES_HEADER + "".join(row + "\n" for row in rows), encoding="utf-8")
@@ -561,7 +575,7 @@ def test_read_scores_rejects_rows_write_scores_never_writes(tmp_path, rows, mess
 
 def test_read_scores_accepts_counts_at_their_bounds(tmp_path):
     path = tmp_path / "scores.csv"
-    path.write_text(SCORES_HEADER + "u1,1,0,1,NA,NA,NA\nu2,2,2,2,1.0000,NA,NA\n",
+    path.write_text(SCORES_HEADER + "u1,1,0,1,NA,NA,NA\nu2,2,2,2,NA,NA,NA\n",
                     encoding="utf-8")
     assert [(s.n_total, s.n_mncs2, s.n_excluded_zero_e) for s in read_scores(path)] == [
         (1, 0, 1), (2, 2, 2)]
