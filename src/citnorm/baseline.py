@@ -108,9 +108,9 @@ def expected_citations(table: BaselineTable, pub: Publication) -> float:
 def write_baselines(table: BaselineTable, path: str | Path) -> None:
     """Export the table as CSV, rows sorted by (field_id, pub_year), each mean as its
     ``repr``: the shortest text that reads back as the same double."""
-    _write_text(path, _csv_text(_CSV_HEADER, (
+    _write_text(path, [_csv_text(_CSV_HEADER, (
         [fid, year, repr(float(cell.mean_citations)), cell.cell_size]
-        for (fid, year), cell in sorted(table.cells.items()))))
+        for (fid, year), cell in sorted(table.cells.items())))])
 
 
 def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

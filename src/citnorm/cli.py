@@ -136,7 +136,7 @@ def _run(args) -> None:
         scores = indicators.read_scores(args.scores)
         spec = report.ScatterSpec(x_indicator=args.x, y_indicator=args.y,
                                   threshold=args.threshold, axis_max=args.axis_max)
-        corpus._write_text(args.out, report.render_scatter(scores, spec))
+        corpus._write_text(args.out, [report.render_scatter(scores, spec)])
 
     elif args.command == "rank":
         scores = indicators.read_scores(args.scores)

@@ -39,7 +39,8 @@ record. :class:`Publication` objects are built from the columns only where a cal
 asks for them, each ``citations_by_year`` a read-only :class:`CitationsByYear` over its row.
 That build, :func:`parse_corpus` and the simulator run with the cyclic collector paused.
 
-Every file citnorm writes goes through :func:`_write_text`, whole or not at all. An id
+Every file citnorm writes goes through :func:`_write_text`, whole or not at all, as text
+pieces: a corpus as pieces of ``_CHUNK_LINES`` lines, so no write holds its whole text. An id
 holding a lone surrogate (a ``"\\ud800"`` escape) is an error only there, as UTF-8 cannot hold it.
 """
 from __future__ import annotations
@@ -53,9 +54,10 @@ from collections import deque
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import add, attrgetter, itemgetter, le, lt
+from operator import attrgetter, itemgetter, le, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -499,6 +501,8 @@ def _json_line(line: str):
 
 # Non-blank lines per json.loads call: one call shares the key memo and the call overhead.
 _BATCH_LINES = 32
+# Lines per piece of a corpus's JSON Lines text: a write holds one piece, not the whole text.
+_CHUNK_LINES = 1024
 
 
 def _read_batch(reader: _RecordReader, lines: list[str], line_nos: list[int],
@@ -582,53 +586,60 @@ def parse_corpus(path: str | Path, census_year: int | None = None,
                                                   census_year, first_year, line_nos))
 
 
-def corpus_to_jsonl(corpus: Corpus) -> str:
-    """Serialize a corpus back to JSON Lines text, in canonical order.
+def _jsonl_pieces(corpus: Corpus) -> Iterator[str]:
+    """The JSON Lines text of a corpus, in canonical order, ``_CHUNK_LINES`` lines a piece.
 
-    Each line is ``json.dumps(obj, separators=(",", ":"))`` of the record,
-    built directly: keys in format order and ``citations_by_year`` in
-    ascending years; strings go through json's own ASCII escaper, and every
-    number is a plain int.
-    """
-    census = corpus.census_year
-    year_keys: dict[int, list[str]] = {}  # '"year":' from a publication year to the census
-    lines = []
-    for pid, units, fields, year, doc_type, total, row in zip(*_state(corpus)[2:]):
-        line = (
-            f'{{"id":{_json_str(pid)},"unit_ids":[{",".join(map(_json_str, units))}],'
-            f'"field_ids":[{",".join(map(_json_str, fields))}],"pub_year":{year},'
-            f'"doc_type":{_json_str(doc_type)},"citations_total":{total}'
-        )
-        if row is None:
-            lines.append(line + "}\n")
-            continue
-        keys = year_keys.get(year)
-        if keys is None:
-            keys = year_keys[year] = [f'"{y}":' for y in range(year, census + 1)]
-        by_year = ",".join(map(add, keys, map(str, row)))
-        lines.append(f'{line},"citations_by_year":{{{by_year}}}}}\n')
-    return "".join(lines)
+    Each line is ``json.dumps(obj, separators=(",", ":"))`` of the record: keys in format
+    order, ``citations_by_year`` in ascending years, strings through json's own ASCII escaper
+    and every number a plain int. It fills the ``%`` template of its publication year, with
+    or without by-year counts; each id list is written as JSON once."""
+    array = cache(lambda ids: f"[{','.join(map(_json_str, ids))}]")
+
+    @cache
+    def template(year: int, by_year: bool) -> str:
+        keys = ",".join(f'"{y}":%d' for y in range(year, corpus.census_year + 1))
+        return ('{"id":%s,"unit_ids":%s,"field_ids":%s,'
+                f'"pub_year":{year},"doc_type":%s,"citations_total":%d'
+                + (f',"citations_by_year":{{{keys}}}' if by_year else "") + "}\n")
+
+    records = zip(*_state(corpus)[2:])
+    for _ in range(0, len(corpus), _CHUNK_LINES):
+        yield "".join([
+            template(year, row is not None) % (_json_str(pid), array(units), array(fields),
+                                               _json_str(doc_type), total, *(row or ()))
+            for pid, units, fields, year, doc_type, total, row in islice(records, _CHUNK_LINES)])
+
+
+def corpus_to_jsonl(corpus: Corpus) -> str:
+    """The JSON Lines text of a corpus, in canonical order: the pieces of :func:`_jsonl_pieces`."""
+    return "".join(_jsonl_pieces(corpus))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    _write_text(path, corpus_to_jsonl(corpus))
+    _write_text(path, _jsonl_pieces(corpus))
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, whole or not at all.
-
-    A character UTF-8 cannot hold is a :class:`ValidationError` before any file is touched.
-    A temporary file beside the target then replaces it: a new file gets the mode
-    ``open(path, "w")`` gives, an existing one keeps its mode and a symlink stays a link.
-    A target that is no regular file, such as a FIFO or ``/dev/stdout``, is written in place."""
+def _utf8(text: str) -> bytes:
     try:
-        data = text.encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValidationError(f"cannot write {exc.object[exc.start]!r} as UTF-8") from None
+
+
+def _write_text(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` to ``path`` as UTF-8, one by one, whole or not at all.
+
+    A character UTF-8 cannot hold is a :class:`ValidationError`, in the first piece before
+    any file is touched. A temporary file beside the target takes the pieces, then replaces
+    it or is removed: a new file gets the mode ``open(path, "w")`` gives, an existing one
+    keeps its mode and a symlink stays a link. A target that is no regular file, such as a
+    FIFO or ``/dev/stdout``, is written in place."""
+    encoded = map(_utf8, pieces)
+    data = chain((next(encoded, b""),), encoded)  # the first piece before any file is touched
     mode = os.stat(path).st_mode if os.path.exists(path) else None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as handle:
-            handle.write(data)
+            deque(map(handle.write, data), maxlen=0)
         return
     target = os.path.realpath(path)
     temp = os.path.join(os.path.dirname(target), f".citnorm-{os.urandom(8).hex()}.tmp")
@@ -640,7 +651,7 @@ def _write_text(path: str | Path, text: str) -> None:
         with handle:
             if mode is not None:
                 os.fchmod(handle.fileno(), stat.S_IMODE(mode))
-            handle.write(data)
+            deque(map(handle.write, data), maxlen=0)
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)

@@ -270,11 +270,11 @@ def format_value(value: float | None, decimals: int = 4) -> str:
 
 def write_scores(scores: Sequence[UnitScore], path: str | Path) -> None:
     """Export unit scores as CSV, rows sorted by unit_id, each real as its exact ``repr``."""
-    _write_text(path, _csv_text(_SCORES_HEADER, (
+    _write_text(path, [_csv_text(_SCORES_HEADER, (
         [score.unit_id, score.n_total, score.n_mncs2, score.n_excluded_zero_e,
          *("NA" if value is None else repr(float(value))
            for value in (getattr(score, name) for name in INDICATOR_NAMES))]
-        for score in sorted(scores, key=lambda s: s.unit_id))))
+        for score in sorted(scores, key=lambda s: s.unit_id)))])
 
 
 def _parse_value(text: str) -> float | None:

@@ -27,7 +27,10 @@ re-checking each record, and no ``Publication`` is built: years come from the
 configured span, by-year counts run from the publication year to the census
 year and end at the total, ids are zero-padded serials in increasing order,
 and the increments are checked to be non-negative and their totals to stay
-within 2**53 - 1.
+within 2**53 - 1. The draws' (publications, years) arrays are made for ``_BLOCK_PUBS``
+publications at a time, which bounds peak memory. Poisson takes its means in row order, one
+by one, and nothing from the stream for a zero mean, so the corpus is the one a single draw
+per unit gives, whatever the block size.
 """
 from __future__ import annotations
 
@@ -47,6 +50,8 @@ from .errors import ValidationError
 # Shape stream seed; independent of config.seed by design (see module docs).
 _SHAPE_SEED = 0x5EED5
 _MAX_FLOAT = sys.float_info.max  # unlike math.isfinite, comparing an int with it cannot overflow
+# Publications per block of draws: its (publications, years) arrays set peak memory.
+_BLOCK_PUBS = 2048
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,7 +208,6 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
     width = max(8, len(str(total - 1)))
     ids: list[str] = []
     years: list[int] = []
-    totals: list[int] = []
     units: list[tuple[str, ...]] = []
     fields: list[tuple[str, ...]] = []
     rows: list[tuple[int, ...]] = []
@@ -222,31 +226,31 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
                 lam = rates[field_idx] * unit.quality * g  # (n,)
             if not np.isfinite(lam).all():
                 raise ValueError("lam value is not finite")
-            # Per-year means: 0 before the pub year, damped in it, lambda after.
-            after = year_grid[None, :] > pub_years[:, None]
-            same = year_grid[None, :] == pub_years[:, None]
-            mean = lam[:, None] * (after + config.same_year_damping * same)
-            increments = count_rng.poisson(mean)  # Poisson(0) == 0 before pub year
+            unit_pub_ids = [str(i).zfill(width) for i in range(len(ids), len(ids) + n)]
+            for start in range(0, n, _BLOCK_PUBS):
+                block = slice(start, start + _BLOCK_PUBS)
+                block_years = pub_years[block, None]
+                # Per-year means: 0 before the pub year, damped in it, lambda after.
+                after, same = year_grid > block_years, year_grid == block_years
+                mean = lam[block, None] * (after + config.same_year_damping * same)
+                increments = count_rng.poisson(mean)  # Poisson(0) == 0 before pub year
+                # every row from its publication year to the census year, row after row
+                ragged = _checked_cumsum(increments, unit_pub_ids[block], first)[after | same]
+                ragged = tuple(ragged.tolist())
+                ends = np.cumsum(census + 1 - block_years[:, 0]).tolist()
+                rows.extend(map(ragged.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+        except ValidationError:
+            raise
         except (ValueError, MemoryError) as exc:
             raise ValidationError(
                 f"unit '{unit.unit_id}': cannot draw citations: {str(exc) or 'out of memory'}"
             ) from None
-        del mean  # each (n, years) array goes as soon as it is used: they set peak memory
-        unit_pub_ids = [str(i).zfill(width) for i in range(len(ids), len(ids) + n)]
-        # every row from its publication year to the census year, row after row
-        ragged = _checked_cumsum(increments, unit_pub_ids, first)[after | same]
-        del increments, after, same
-        ragged = tuple(ragged.tolist())
-        ends = np.cumsum(census + 1 - pub_years).tolist()
-        unit_rows = list(map(ragged.__getitem__, map(slice, [0, *ends[:-1]], ends)))
-        rows.extend(unit_rows)
-        totals.extend(map(itemgetter(-1), unit_rows))
         ids.extend(unit_pub_ids)
         years.extend(map(year_objects.__getitem__, pub_years.tolist()))
         units.extend(repeat((unit.unit_id,), n))
         fields.extend(map(field_ids.__getitem__, field_idx.tolist()))
-    return Corpus._from_columns(census, first, ids, units, fields, years,
-                                repeat("article", total), totals, rows)
+    return Corpus._from_columns(census, first, ids, units, fields, years, repeat("article", total),
+                                map(itemgetter(-1), rows), rows)
 
 
 def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> np.ndarray:

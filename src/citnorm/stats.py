@@ -226,13 +226,13 @@ def trajectory(pubs: Corpus | Iterable[Publication], field_id: str, pub_year: in
 
 
 def write_correlation_report(report: CorrelationReport, path: str | Path) -> None:
-    _write_text(path, _csv_text(["label_x", "label_y", "pearson", "spearman", "n"], ([
+    _write_text(path, [_csv_text(["label_x", "label_y", "pearson", "spearman", "n"], ([
         pair.label_x,
         pair.label_y,
         format_value(pair.pearson, decimals=6),
         format_value(pair.spearman, decimals=6),
         pair.n,
-    ] for pair in report.pairs)))
+    ] for pair in report.pairs))])
 
 
 def write_age_matrix(matrix: AgeCorrelationMatrix, path: str | Path) -> None:
@@ -240,9 +240,9 @@ def write_age_matrix(matrix: AgeCorrelationMatrix, path: str | Path) -> None:
     rows = ([year, *("" if i == j else format_value(value, decimals=2)
                      for j, value in enumerate(matrix.entries[i]))]
             for i, year in enumerate(matrix.years))
-    _write_text(path, _csv_text(["", *matrix.years], rows))
+    _write_text(path, [_csv_text(["", *matrix.years], rows)])
 
 
 def write_trajectory(traj: Trajectory, path: str | Path) -> None:
-    _write_text(path, _csv_text(["year", "mean_citations"],
-                                ([year, format_value(mean)] for year, mean in traj.means)))
+    _write_text(path, [_csv_text(["year", "mean_citations"],
+                                 ([year, format_value(mean)] for year, mean in traj.means))])

@@ -9,8 +9,10 @@ import contextlib
 import io
 import json
 import math
+import runpy
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,38 +173,18 @@ def test_c06_recency_outlier_stress():
         assert abs(cpp_after - cpp_before) < abs(m1_after - m1_before)
 
 
-def _research_group_units(count=158):
-    rng = np.random.default_rng(2024)
-    qualities = rng.uniform(0.6, 1.8, size=count)
-    sizes = rng.integers(50, 211, size=count)  # mean ~130 publications
-    return tuple(
-        UnitSpec(f"g{i:03d}", float(qualities[i]), int(sizes[i])) for i in range(count)
-    )
-
-
-_SEVEN_FIELDS = (
-    FieldSpec("biochem", 3.0),
-    FieldSpec("cardiac", 2.2),
-    FieldSpec("chem", 1.4),
-    FieldSpec("econ", 0.9),
-    FieldSpec("math", 0.35),
-    FieldSpec("physics", 1.0),
-    FieldSpec("surgery", 1.3),
-)
+# the compare roster: scripts/compare_indicators.py's 158 research groups and seven fields
+COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_indicators.py"
 
 
 def test_c07_recency_filter_tightens_correlation():
     """Across seeds, cpp correlates at least as well with mncs2 as with mncs1."""
     with criterion("7 correlation direction", 120.0):
-        units = _research_group_units()
+        build_config = runpy.run_path(str(COMPARE_SCRIPT))["build_config"]
         hits = 0
         n_seeds = 50
         for seed in range(n_seeds):
-            config = SimulationConfig(
-                fields=_SEVEN_FIELDS, units=units, first_year=1991,
-                census_year=2000, dispersion=0.8, seed=seed,
-            )
-            corpus = generate_corpus(config)
+            corpus = generate_corpus(build_config(seed, 158))
             table = compute_baselines(corpus)
             scores = score_units(corpus, table)
             report = correlate_indicators(scores)

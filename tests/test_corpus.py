@@ -841,3 +841,71 @@ def test_materialized_publications_keep_at_most_200_bytes_each():
         tracemalloc.stop()
     # a dict per publication kept about 383 bytes each; the view shares the corpus's row
     assert len(pubs) == 10_000 and kept / len(pubs) <= 200
+
+
+# --- the streamed writer -----------------------------------------------------
+
+CHUNK = corpus_module._CHUNK_LINES
+
+
+def mixed_corpus(n: int) -> Corpus:
+    """``n`` records that mix by-year counts and none, one to two units and fields, and ids
+    with non-ASCII characters and lone surrogates."""
+    unit_lists = [("u1",), (), ("u1", "ü2"), ("u\udfff", "u1")]
+    pubs = []
+    for i in range(n):
+        year = 2000 + i % 5
+        pid = f"p{i:05d}" + ("é" if i % 7 == 0 else "\ud800" if i % 11 == 0 else "")
+        by_year = None if i % 3 == 0 else {y: i % 4 + y - year for y in range(year, 2005)}
+        pubs.append(make_pub(pid, year=year, citations=i % 4 + 2004 - year,
+                             units=unit_lists[i % 4], by_year=by_year,
+                             fields=("f1", "fé2") if i % 2 else ("f1",)))
+    return make_corpus(pubs, census_year=2004, first_year=2000)
+
+
+@pytest.mark.parametrize("target", ["file", "fifo"])
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_streamed_writer_writes_the_serializer_bytes(tmp_path, n, target):
+    corpus = mixed_corpus(n)
+    text = corpus_to_jsonl(corpus)
+    assert text == "".join(map(reference_jsonl_line, corpus))
+    pieces = list(corpus_module._jsonl_pieces(corpus))
+    assert len(pieces) == -(-n // CHUNK) and all(p.count("\n") == CHUNK for p in pieces[:-1])
+    path = tmp_path / "corpus.jsonl"
+    if target == "file":
+        write_corpus(corpus, path)
+        written = path.read_bytes()
+    else:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs")
+        os.mkfifo(path)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        try:
+            write_corpus(corpus, path)
+        finally:
+            reader.join(timeout=60)
+        (written,) = received
+    assert written == text.encode("ascii")
+    assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl"]
+
+
+def test_writing_a_corpus_holds_less_than_half_its_file(tmp_path):
+    corpus = generate_corpus(config_from_dict({
+        "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
+        "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 20_000}],
+        "first_year": 1999, "census_year": 2008, "dispersion": 0.8, "seed": 5}))
+    path = tmp_path / "corpus.jsonl"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_corpus(corpus, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the whole text, its lines and its UTF-8 copy took about 8.5 MB over a 3.7 MB file;
+    # a piece of 1,024 lines takes under 1 MB
+    assert peak < path.stat().st_size / 2

@@ -1,13 +1,17 @@
 """Synthetic corpus generator: determinism, shape stability, calibration."""
 from __future__ import annotations
 
+import gc
+import hashlib
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import citnorm.simulate as simulate_module
 from citnorm.corpus import Corpus, Publication, corpus_to_jsonl
 from citnorm.errors import ValidationError
 from citnorm.simulate import (
@@ -128,6 +132,52 @@ def test_pub_years_cover_span_uniformly():
         assert 0.06 <= share <= 0.14  # ~0.1 each over a 10-year span
 
 
+# Units of 2,048-row blocks: three (5,000), two whose second holds one row (2,049), one (40).
+STRADDLING = SimulationConfig(
+    fields=(FieldSpec("f1", 2.0), FieldSpec("f2", 0.5), FieldSpec("f3", 1.3)),
+    units=(UnitSpec("big", 1.0, 5000), UnitSpec("edge", 1.4, 2049), UnitSpec("small", 0.7, 40)),
+    first_year=1999,
+    census_year=2008,
+    dispersion=0.8,
+    seed=11,
+    same_year_damping=0.3,
+)
+
+
+def test_units_larger_than_a_block_simulate_the_pinned_corpus():
+    # the digest of this config's JSON Lines text as the simulator wrote it when it drew
+    # each unit's citations in one call, before it drew them in blocks
+    assert simulate_module._BLOCK_PUBS == 2048
+    text = corpus_to_jsonl(generate_corpus(STRADDLING))
+    assert len(text) == 1_316_794
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2fec0c0eeeb21143a3f6af35e8ffc8a525e22baee879fbba342cbf3037ccbdcc")
+
+
+@pytest.mark.parametrize("block", [1, 7, 16])
+def test_the_block_size_changes_no_draw(monkeypatch, block):
+    config = replace(STRADDLING, units=(UnitSpec("a", 1.0, 30), UnitSpec("b", 1.2, 16)))
+    expected = generate_corpus(config)  # each unit one block
+    monkeypatch.setattr(simulate_module, "_BLOCK_PUBS", block)
+    assert generate_corpus(config) == expected
+
+
+def test_drawing_a_large_unit_holds_a_block_of_arrays_not_the_unit():
+    config = one_field_config(n_pubs=50_000, dispersion=0.8, seed=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = generate_corpus(config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the unit-wide (publications x years) arrays took about 9.2 MB above the corpus's own
+    # 10 MB; blocks of 2,048 rows take about 4 MB, mostly the unit's per-publication arrays
+    assert len(corpus) == 50_000 and held - before > 8e6
+    assert peak - held < 6.5e6
+
+
 @st.composite
 def simulation_configs(draw):
     field_specs = tuple(FieldSpec(f"f{i}", draw(st.floats(0.05, 20.0)))
@@ -180,6 +230,21 @@ class TestBulkChecks:
         )
         with pytest.raises(ValidationError,
                            match=r"^publication 00000002: citations_total exceeds 2\*\*53 - 1$"):
+            generate_corpus(config)
+
+    def test_total_beyond_exact_float_range_in_a_later_block_names_its_publication(self):
+        config = SimulationConfig(
+            fields=(FieldSpec("f", 1.0),),
+            # rare gamma factors push a loud total past 2**53 - 1: first at row 5,380 of
+            # the loud unit, in its third block of 2,048 rows
+            units=(UnitSpec("calm", 1.0, 100), UnitSpec("loud", 1.2e14, 6000)),
+            first_year=2000,
+            census_year=2009,
+            dispersion=1.0,
+            seed=5,
+        )
+        with pytest.raises(ValidationError,
+                           match=r"^publication 00005480: citations_total exceeds 2\*\*53 - 1$"):
             generate_corpus(config)
 
     def test_wrapped_cumulative_sum_is_rejected(self):
