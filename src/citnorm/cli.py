@@ -130,7 +130,9 @@ def _run(args) -> None:
     elif args.command == "simulate":
         from . import simulate  # numpy loads only for the commands that use it
         config = simulate.load_config(args.config)
-        corpus.write_corpus(simulate.generate_corpus(config), args.out)
+        with corpus._gc_paused():  # one block of draws and one piece of text at a time
+            records = (r for block in simulate._drawn_blocks(config) for r in zip(*block))
+            corpus._write_text(args.out, corpus._jsonl_pieces(config.census_year, records))
 
     elif args.command == "plot":
         scores = indicators.read_scores(args.scores)

@@ -586,8 +586,9 @@ def parse_corpus(path: str | Path, census_year: int | None = None,
                                                   census_year, first_year, line_nos))
 
 
-def _jsonl_pieces(corpus: Corpus) -> Iterator[str]:
-    """The JSON Lines text of a corpus, in canonical order, ``_CHUNK_LINES`` lines a piece.
+def _jsonl_pieces(census_year: int, records: Iterable[tuple]) -> Iterator[str]:
+    """The JSON Lines text of ``records`` (tuples in ``_COLUMNS`` order, of a corpus counted
+    to ``census_year``), in their order, ``_CHUNK_LINES`` lines a piece.
 
     Each line is ``json.dumps(obj, separators=(",", ":"))`` of the record: keys in format
     order, ``citations_by_year`` in ascending years, strings through json's own ASCII escaper
@@ -597,26 +598,26 @@ def _jsonl_pieces(corpus: Corpus) -> Iterator[str]:
 
     @cache
     def template(year: int, by_year: bool) -> str:
-        keys = ",".join(f'"{y}":%d' for y in range(year, corpus.census_year + 1))
+        keys = ",".join(f'"{y}":%d' for y in range(year, census_year + 1))
         return ('{"id":%s,"unit_ids":%s,"field_ids":%s,'
                 f'"pub_year":{year},"doc_type":%s,"citations_total":%d'
                 + (f',"citations_by_year":{{{keys}}}' if by_year else "") + "}\n")
 
-    records = zip(*_state(corpus)[2:])
-    for _ in range(0, len(corpus), _CHUNK_LINES):
-        yield "".join([
+    records = iter(records)
+    while piece := "".join([
             template(year, row is not None) % (_json_str(pid), array(units), array(fields),
                                                _json_str(doc_type), total, *(row or ()))
-            for pid, units, fields, year, doc_type, total, row in islice(records, _CHUNK_LINES)])
+            for pid, units, fields, year, doc_type, total, row in islice(records, _CHUNK_LINES)]):
+        yield piece
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
     """The JSON Lines text of a corpus, in canonical order: the pieces of :func:`_jsonl_pieces`."""
-    return "".join(_jsonl_pieces(corpus))
+    return "".join(_jsonl_pieces(corpus.census_year, zip(*_state(corpus)[2:])))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    _write_text(path, _jsonl_pieces(corpus))
+    _write_text(path, _jsonl_pieces(corpus.census_year, zip(*_state(corpus)[2:])))
 
 
 def _utf8(text: str) -> bytes:

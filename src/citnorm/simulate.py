@@ -27,10 +27,11 @@ re-checking each record, and no ``Publication`` is built: years come from the
 configured span, by-year counts run from the publication year to the census
 year and end at the total, ids are zero-padded serials in increasing order,
 and the increments are checked to be non-negative and their totals to stay
-within 2**53 - 1. The draws' (publications, years) arrays are made for ``_BLOCK_PUBS``
-publications at a time, which bounds peak memory. Poisson takes its means in row order, one
-by one, and nothing from the stream for a zero mean, so the corpus is the one a single draw
-per unit gives, whatever the block size.
+within 2**53 - 1. One loop, ``_drawn_blocks``, draws ``_BLOCK_PUBS`` publications at a time,
+which bounds peak memory: :func:`generate_corpus` gathers the blocks, ``citnorm simulate``
+writes each as it is drawn. Poisson takes its means in row order, one by one, and nothing
+from the stream for a zero mean, so the corpus is the one a single draw per unit gives,
+whatever the block size.
 """
 from __future__ import annotations
 
@@ -41,10 +42,11 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import _MAX_CITATIONS, Corpus, _gc_paused
+from .corpus import _COLUMNS, _MAX_CITATIONS, Corpus, _gc_paused
 from .errors import ValidationError
 
 # Shape stream seed; independent of config.seed by design (see module docs).
@@ -185,15 +187,9 @@ def load_config(path: str | Path) -> SimulationConfig:
     return config_from_dict(obj)
 
 
-@_gc_paused()
-def generate_corpus(config: SimulationConfig) -> Corpus:
-    """Generate a synthetic corpus; fully deterministic given the config.
-
-    Each unit contributes ``n_pubs`` publications with a publication year
-    uniform over [first_year, census_year] and a single field uniform over
-    the configured fields. Ids are zero-padded decimals in generation order,
-    so generation order and canonical id order coincide.
-    """
+def _drawn_blocks(config: SimulationConfig) -> Iterator[tuple[Iterable, ...]]:
+    """The publications of ``config``'s corpus in id order, ``_BLOCK_PUBS`` or fewer at a time,
+    each block as its columns in ``_COLUMNS`` order, each column to be read once."""
     shape_rng = np.random.default_rng(_SHAPE_SEED)
     count_rng = np.random.default_rng(config.seed)
     first, census = config.first_year, config.census_year
@@ -204,15 +200,10 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
     if config.dispersion > 0:
         shape, scale = _gamma_shape_scale(config.dispersion)
 
-    total = sum(u.n_pubs for u in config.units)
-    width = max(8, len(str(total - 1)))
-    ids: list[str] = []
-    years: list[int] = []
-    units: list[tuple[str, ...]] = []
-    fields: list[tuple[str, ...]] = []
-    rows: list[tuple[int, ...]] = []
+    width = max(8, len(str(sum(u.n_pubs for u in config.units) - 1)))
+    drawn = 0  # publications of the units before this one
     for unit in config.units:
-        n = unit.n_pubs
+        n, unit_ids = unit.n_pubs, (unit.unit_id,)
         # numpy raises ValueError for a size or a mean it cannot draw (no Poisson mean
         # above about 9.2e18), MemoryError for arrays it cannot allocate
         try:
@@ -226,31 +217,47 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
                 lam = rates[field_idx] * unit.quality * g  # (n,)
             if not np.isfinite(lam).all():
                 raise ValueError("lam value is not finite")
-            unit_pub_ids = [str(i).zfill(width) for i in range(len(ids), len(ids) + n)]
             for start in range(0, n, _BLOCK_PUBS):
-                block = slice(start, start + _BLOCK_PUBS)
+                block = slice(start, min(n, start + _BLOCK_PUBS))
+                ids = [str(i).zfill(width) for i in range(drawn + block.start, drawn + block.stop)]
                 block_years = pub_years[block, None]
                 # Per-year means: 0 before the pub year, damped in it, lambda after.
                 after, same = year_grid > block_years, year_grid == block_years
                 mean = lam[block, None] * (after + config.same_year_damping * same)
                 increments = count_rng.poisson(mean)  # Poisson(0) == 0 before pub year
                 # every row from its publication year to the census year, row after row
-                ragged = _checked_cumsum(increments, unit_pub_ids[block], first)[after | same]
-                ragged = tuple(ragged.tolist())
+                ragged = tuple(_checked_cumsum(increments, ids, first)[after | same].tolist())
                 ends = np.cumsum(census + 1 - block_years[:, 0]).tolist()
-                rows.extend(map(ragged.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+                rows = list(map(ragged.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+                yield (ids, repeat(unit_ids, len(ids)),
+                       map(field_ids.__getitem__, field_idx[block].tolist()),
+                       map(year_objects.__getitem__, pub_years[block].tolist()),
+                       repeat("article", len(ids)), map(itemgetter(-1), rows), rows)
         except ValidationError:
             raise
         except (ValueError, MemoryError) as exc:
             raise ValidationError(
                 f"unit '{unit.unit_id}': cannot draw citations: {str(exc) or 'out of memory'}"
             ) from None
-        ids.extend(unit_pub_ids)
-        years.extend(map(year_objects.__getitem__, pub_years.tolist()))
-        units.extend(repeat((unit.unit_id,), n))
-        fields.extend(map(field_ids.__getitem__, field_idx.tolist()))
-    return Corpus._from_columns(census, first, ids, units, fields, years, repeat("article", total),
-                                map(itemgetter(-1), rows), rows)
+        drawn += n
+
+
+@_gc_paused()
+def generate_corpus(config: SimulationConfig) -> Corpus:
+    """Generate a synthetic corpus; fully deterministic given the config.
+
+    Each unit contributes ``n_pubs`` publications with a publication year
+    uniform over [first_year, census_year] and a single field uniform over
+    the configured fields. Ids are zero-padded decimals in generation order,
+    so generation order and canonical id order coincide.
+    """
+    columns = [[] for _ in _COLUMNS]
+    for block in _drawn_blocks(config):
+        for column, values in zip(columns, block):
+            column.extend(values)
+    # each column's list is dropped as soon as its tuple is made
+    return Corpus._from_columns(config.census_year, config.first_year,
+                                *(tuple(columns.pop(0)) for _ in _COLUMNS))
 
 
 def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> np.ndarray:

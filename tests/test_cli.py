@@ -2,19 +2,24 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
+import resource
 import runpy
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from citnorm.cli import _build_parser, main
-from citnorm.corpus import Corpus, Publication, write_corpus
+from citnorm.corpus import Corpus, Publication, corpus_to_jsonl, write_corpus
 from citnorm.errors import ValidationError
 from citnorm.indicators import INDICATOR_NAMES
-from citnorm.simulate import FieldSpec, SimulationConfig, UnitSpec, config_from_dict
+from citnorm.simulate import (FieldSpec, SimulationConfig, UnitSpec, config_from_dict,
+                              generate_corpus)
 
 from conftest import run_module
 
@@ -602,18 +607,37 @@ def _simulate(tmp_path, config) -> int:
     return main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "c.jsonl")])
 
 
+def _limit_address_space() -> None:
+    """Runs in the child before it execs Python: 512 MiB of address space, which numpy and
+    citnorm import well within, so an allocation per drawn publication fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("units", "n_pubs", 2 ** 64),  # more draws than numpy can shape an array for
     ("fields", "rate", 1e308),  # rate × quality × heterogeneity overflows to inf
 ])
-def test_draws_numpy_cannot_make_are_one_line_error(tmp_path, capsys, section, key, value):
+def test_draws_numpy_cannot_make_are_one_line_error(tmp_path, monkeypatch, section, key, value):
+    # in a child process with bounded memory: a simulator that allocated per publication
+    # before numpy refused the size would fail this test rather than exhaust the machine
+    import numpy as np
+
     config = json.loads(json.dumps(CONFIG))
     config[section][0][key] = value
-    assert _simulate(tmp_path, config) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: unit 'u_big': cannot draw citations: ")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # no per-thread buffers to reserve
+    proc = run_module("-m", "citnorm", "simulate", "--config", str(config_path),
+                      "--out", str(tmp_path / "c.jsonl"), preexec_fn=_limit_address_space)
     if key == "rate":
-        assert err[0].endswith(": lam value is not finite")
+        reason = "lam value is not finite"
+    else:
+        with pytest.raises(ValueError) as refused:  # raised before numpy allocates anything
+            np.random.default_rng(0).integers(0, 2, size=value)
+        reason = str(refused.value)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [f"error: unit 'u_big': cannot draw citations: {reason}"]
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 def test_draws_beyond_memory_are_one_line_error(tmp_path, capsys, monkeypatch):
@@ -635,6 +659,77 @@ def test_draws_beyond_memory_are_one_line_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [
         "error: unit 'u_big': cannot draw citations: out of memory"
     ]
+
+
+LATE_FAULT_CONFIG = {
+    "fields": [{"field_id": "f", "rate": 1.0}],
+    # the calm unit fills the first 1,024-line piece and more; even a damped first year of
+    # the loud unit draws about 1e16 > 2**53 - 1
+    "units": [{"unit_id": "calm", "quality": 1.0, "n_pubs": 1100},
+              {"unit_id": "loud", "quality": 1e17, "n_pubs": 3}],
+    "first_year": 2000, "census_year": 2009,
+}
+
+
+def _late_fault() -> str:
+    """The error line for LATE_FAULT_CONFIG: the fault generate_corpus reports."""
+    with pytest.raises(ValidationError) as fault:
+        generate_corpus(config_from_dict(LATE_FAULT_CONFIG))
+    assert str(fault.value) == "publication 00001100: citations_total exceeds 2**53 - 1"
+    return f"error: {fault.value}"
+
+
+@pytest.mark.parametrize("target", ["new", "existing"])
+def test_a_draw_fault_after_the_first_piece_leaves_no_file(tmp_path, capsys, target):
+    out = tmp_path / "c.jsonl"
+    if target == "existing":
+        out.write_bytes(b"an older corpus\n")
+    assert _simulate(tmp_path, LATE_FAULT_CONFIG) == 1
+    assert capsys.readouterr().err.splitlines() == [_late_fault()]
+    assert sorted(os.listdir(tmp_path)) == ["c.jsonl", "config.json"][target == "new":]
+    if target == "existing":
+        assert out.read_bytes() == b"an older corpus\n"
+
+
+def test_a_draw_fault_after_the_first_piece_ends_a_stream_after_its_lines(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(LATE_FAULT_CONFIG))
+    proc = run_module("-m", "citnorm", "simulate", "--config", str(config_path),
+                      "--out", "/dev/stdout")
+    assert proc.returncode == 1 and proc.stderr.splitlines() == [_late_fault()]
+    calm = config_from_dict({**LATE_FAULT_CONFIG, "units": LATE_FAULT_CONFIG["units"][:1]})
+    assert proc.stdout == "".join(corpus_to_jsonl(generate_corpus(calm)).splitlines(True)[:1024])
+
+
+def test_an_unwritable_target_is_found_before_a_late_draw_fault(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(LATE_FAULT_CONFIG))
+    out = tmp_path / "missing" / "c.jsonl"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_simulate_holds_a_block_of_draws_not_the_corpus(tmp_path):
+    import citnorm.simulate  # noqa: F401  numpy and the simulator load before the trace
+
+    config_path, out = tmp_path / "config.json", tmp_path / "c.jsonl"
+    config_path.write_text(json.dumps({
+        "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
+        "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 50_000}],
+        "first_year": 1999, "census_year": 2008, "dispersion": 0.8, "seed": 5}))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding the corpus to write it took about 15 MB; a block of draws, a piece of text and
+    # the unit's per-publication arrays take under 5 MB
+    assert out.stat().st_size > 8e6
+    assert peak - before < 6.5e6
 
 
 RECORD = {"id": "P1", "unit_ids": ["u1"], "field_ids": ["f1"], "pub_year": 2005,

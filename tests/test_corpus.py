@@ -869,7 +869,8 @@ def test_streamed_writer_writes_the_serializer_bytes(tmp_path, n, target):
     corpus = mixed_corpus(n)
     text = corpus_to_jsonl(corpus)
     assert text == "".join(map(reference_jsonl_line, corpus))
-    pieces = list(corpus_module._jsonl_pieces(corpus))
+    records = zip(*(getattr(corpus, column) for column in corpus_module._COLUMNS))
+    pieces = list(corpus_module._jsonl_pieces(corpus.census_year, records))
     assert len(pieces) == -(-n // CHUNK) and all(p.count("\n") == CHUNK for p in pieces[:-1])
     path = tmp_path / "corpus.jsonl"
     if target == "file":
