@@ -37,7 +37,8 @@ the census year is known (when not given, the largest year the records carry),
 A :class:`Corpus` holds one column per fact, in the order above, not one object per
 record. :class:`Publication` objects are built from the columns only where a caller
 asks for them, each ``citations_by_year`` a read-only :class:`CitationsByYear` over its row.
-That build, :func:`parse_corpus` and the simulator run with the cyclic collector paused.
+That build, :func:`parse_corpus` and the simulator run with the cyclic collector paused, and
+leave their records in its oldest generation.
 
 Every file citnorm writes goes through :func:`_write_text`, whole or not at all, as text
 pieces: a corpus as pieces of ``_CHUNK_LINES`` lines, so no write holds its whole text. An id
@@ -70,11 +71,18 @@ _INT_ONLY = frozenset({int})
 
 @contextmanager
 def _gc_paused():
-    """The cyclic collector off, then on again if it was: for builders of records with no cycles."""
+    """The cyclic collector off, then on again if it was: for builders of records with no cycles.
+    With it on and none frozen, a build that returns leaves its records in the oldest generation."""
     enabled = gc.isenabled()
+    promote = enabled and not gc.get_freeze_count()
+    if promote:
+        gc.collect(1)  # the caller's young objects, scanned as without the pause
     gc.disable()
     try:
         yield
+        if promote and not gc.get_freeze_count():  # a freeze made meanwhile stands too
+            gc.freeze()  # two list splices: every tracked object joins the oldest generation
+            gc.unfreeze()
     finally:
         if enabled:
             gc.enable()
