@@ -25,7 +25,7 @@ import numpy as np
 from citnorm.baseline import compute_baselines, write_baselines
 from citnorm.corpus import write_corpus
 from citnorm.indicators import INDICATOR_NAMES, score_units, write_scores
-from citnorm.report import ScatterSpec, render_ranking, render_scatter
+from citnorm.report import ScatterSpec, render_ranking, write_scatter
 from citnorm.simulate import FieldSpec, SimulationConfig, UnitSpec, generate_corpus
 from citnorm.stats import correlate_indicators, write_correlation_report
 
@@ -85,8 +85,7 @@ def main() -> None:
 
     for y_indicator in ("mncs1", "mncs2"):
         spec = ScatterSpec(x_indicator="cpp_fcsm", y_indicator=y_indicator, threshold=50)
-        svg = render_scatter(scores, spec)
-        (out / f"scatter_{y_indicator}.svg").write_text(svg, encoding="utf-8")
+        write_scatter(scores, spec, out / f"scatter_{y_indicator}.svg")
 
     print(f"wrote comparison bundle to {out}")
 

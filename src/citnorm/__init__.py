@@ -19,11 +19,12 @@ _EXPORTS = {
                    "UnitScore", "cpp_fcsm", "find_cpp_fcsm_consistency_counterexample", "mncs",
                    "normalized_score", "rank_units", "read_scores", "score_publication",
                    "score_unit", "score_units", "write_scores"),
-    "report": ("ScatterSpec", "render_ranking", "render_scatter"),
-    "simulate": ("FieldSpec", "SimulationConfig", "UnitSpec", "generate_corpus", "load_config"),
+    "report": ("ScatterSpec", "render_ranking", "render_scatter", "write_scatter"),
+    "simulate": ("FieldSpec", "SimulationConfig", "UnitSpec", "generate_corpus", "load_config",
+                 "write_simulated"),
     "stats": ("AgeCorrelationMatrix", "CorrelationReport", "PairCorrelation", "Trajectory",
-              "age_correlation_matrix", "correlate_indicators", "pearson", "spearman",
-              "trajectory"),
+              "age_correlation_matrix", "correlate_indicators", "field_cohort", "pearson",
+              "spearman", "trajectory"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -124,21 +124,18 @@ def _run(args) -> None:
         stats.write_trajectory(traj, args.out)
 
     elif args.command == "age-corr":
-        cohort = stats._field_cohort(_load_corpus(args), args.field, args.pub_year)
+        cohort = stats.field_cohort(_load_corpus(args), args.field, args.pub_year)
         stats.write_age_matrix(stats.age_correlation_matrix(cohort), args.out)
 
     elif args.command == "simulate":
         from . import simulate  # numpy loads only for the commands that use it
-        config = simulate.load_config(args.config)
-        with corpus._gc_paused():  # one block of draws and one piece of text at a time
-            records = (r for block in simulate._drawn_blocks(config) for r in zip(*block))
-            corpus._write_text(args.out, corpus._jsonl_pieces(config.census_year, records))
+        simulate.write_simulated(simulate.load_config(args.config), args.out)
 
     elif args.command == "plot":
         scores = indicators.read_scores(args.scores)
         spec = report.ScatterSpec(x_indicator=args.x, y_indicator=args.y,
                                   threshold=args.threshold, axis_max=args.axis_max)
-        corpus._write_text(args.out, [report.render_scatter(scores, spec)])
+        report.write_scatter(scores, spec, args.out)
 
     elif args.command == "rank":
         scores = indicators.read_scores(args.scores)

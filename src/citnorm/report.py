@@ -14,9 +14,11 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 from .baseline import _csv_text
+from .corpus import _write_text
 from .errors import ValidationError
 from .indicators import INDICATOR_NAMES, UnitScore, format_value, rank_units
 
@@ -136,6 +138,11 @@ def render_scatter(scores: Sequence[UnitScore], spec: ScatterSpec) -> str:
     lines.extend(markers)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def write_scatter(scores: Sequence[UnitScore], spec: ScatterSpec, path: str | Path) -> None:
+    """Write the :func:`render_scatter` document to ``path``, whole or not at all."""
+    _write_text(path, [render_scatter(scores, spec)])
 
 
 def render_ranking(scores: Sequence[UnitScore], by: str, top: int) -> str:

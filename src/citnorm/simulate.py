@@ -28,7 +28,7 @@ configured span, by-year counts run from the publication year to the census
 year and end at the total, ids are zero-padded serials in increasing order,
 and the increments are checked to be non-negative and their totals to stay
 within 2**53 - 1. One loop, ``_drawn_blocks``, draws ``_BLOCK_PUBS`` publications at a time,
-which bounds peak memory: :func:`generate_corpus` gathers the blocks, ``citnorm simulate``
+which bounds peak memory: :func:`generate_corpus` gathers the blocks, :func:`write_simulated`
 writes each as it is drawn. Poisson takes its means in row order, one by one, and nothing
 from the stream for a zero mean, so the corpus is the one a single draw per unit gives,
 whatever the block size.
@@ -46,6 +46,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import corpus
 from .corpus import _COLUMNS, _MAX_CITATIONS, Corpus, _gc_paused
 from .errors import ValidationError
 
@@ -258,6 +259,13 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
     # each column's list is dropped as soon as its tuple is made
     return Corpus._from_columns(config.census_year, config.first_year,
                                 *(tuple(columns.pop(0)) for _ in _COLUMNS))
+
+
+@_gc_paused()
+def write_simulated(config: SimulationConfig, path: str | Path) -> None:
+    """``write_corpus(generate_corpus(config), path)``, drawn and written a block at a time."""
+    records = (r for block in _drawn_blocks(config) for r in zip(*block))
+    corpus._write_text(path, corpus._jsonl_pieces(config.census_year, records))
 
 
 def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> np.ndarray:

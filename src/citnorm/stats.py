@@ -163,7 +163,7 @@ def _as_corpus(pubs: Corpus | Iterable[Publication]) -> Corpus:
     return Corpus(pubs, census_year=max(years + keys, default=0), first_year=min(years, default=0))
 
 
-def _field_cohort(pubs: Corpus | Iterable[Publication], field_id: str, pub_year: int) -> Corpus:
+def field_cohort(pubs: Corpus | Iterable[Publication], field_id: str, pub_year: int) -> Corpus:
     """The publications of ``pubs`` in one field and year, of which there must be some."""
     cohort = select_cohort(_as_corpus(pubs), field_id, pub_year)
     if not cohort:
@@ -219,7 +219,7 @@ class Trajectory:
 
 def trajectory(pubs: Corpus | Iterable[Publication], field_id: str, pub_year: int) -> Trajectory:
     """Average citation trajectory of the publications in one field-year."""
-    cohort = _field_cohort(pubs, field_id, pub_year)
+    cohort = field_cohort(pubs, field_id, pub_year)
     years, columns = _cohort_columns(cohort)
     means = tuple((year, sum(column) / len(cohort)) for year, column in zip(years, columns))
     return Trajectory(field_id=field_id, pub_year=pub_year, n_pubs=len(cohort), means=means)

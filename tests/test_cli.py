@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import gc
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import citnorm.cli as cli_module
 from citnorm.cli import _build_parser, main
 from citnorm.corpus import Corpus, Publication, corpus_to_jsonl, write_corpus
 from citnorm.errors import ValidationError
@@ -555,6 +557,37 @@ def test_every_option_has_help():
     undescribed = [(name, action.option_strings[0]) for name, parser in commands.items()
                    for action in parser._actions if not action.help]
     assert len(commands) == 8 and undescribed == []
+
+
+def private_citnorm_names(source: str) -> set[str]:
+    """The ``_``-prefixed names ``source`` imports from a citnorm module, or reads as an
+    attribute of one it imports."""
+    tree, modules, private = ast.parse(source), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("citnorm")):
+            names = [alias.name for alias in node.names]
+            private.update(name for name in names if name.startswith("_"))
+            if node.module in (None, "citnorm"):  # from . import corpus: modules by name
+                modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                           if alias.name.split(".")[0] == "citnorm")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                private.add(node.attr)
+    return private
+
+
+def test_each_command_calls_only_public_library_names():
+    assert private_citnorm_names(
+        "from . import corpus\nfrom .stats import _a, b\nimport citnorm.report as r\n"
+        "import sys\ncorpus._b(sys._getframe(), r._c, r.d)\nargs._e") == {"_a", "_b", "_c"}
+    source = Path(cli_module.__file__).read_text(encoding="utf-8")
+    assert private_citnorm_names(source) == set()
 
 
 def test_deeply_nested_config_is_one_line_error(tmp_path, capsys):

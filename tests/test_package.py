@@ -15,14 +15,15 @@ PUBLIC_NAMES = [
     "CorrelationReport", "FieldSpec", "INDICATOR_NAMES", "MncsResult", "PairCorrelation",
     "Publication", "ScatterSpec", "ScoredPublication", "SimulationConfig", "Trajectory",
     "UnitScore", "UnitSpec", "ValidationError", "age_correlation_matrix", "compute_baselines",
-    "corpus_to_jsonl", "correlate_indicators", "cpp_fcsm", "expected_citations",
+    "corpus_to_jsonl", "correlate_indicators", "cpp_fcsm", "expected_citations", "field_cohort",
     "find_cpp_fcsm_consistency_counterexample", "generate_corpus", "load_config", "mncs",
     "normalized_score", "parse_corpus", "pearson", "rank_units", "read_baselines", "read_scores",
     "render_ranking", "render_scatter", "score_publication", "score_unit", "score_units",
     "select_cohort", "select_unit", "spearman", "trajectory", "write_baselines", "write_corpus",
-    "write_scores",
+    "write_scatter", "write_scores", "write_simulated",
 ]
-SIMULATE_NAMES = {"FieldSpec", "SimulationConfig", "UnitSpec", "generate_corpus", "load_config"}
+SIMULATE_NAMES = {"FieldSpec", "SimulationConfig", "UnitSpec", "generate_corpus", "load_config",
+                  "write_simulated"}
 SUBMODULES = ["baseline", "corpus", "errors", "indicators", "report", "simulate", "stats"]
 LOADED = ("print(json.dumps(sorted(m for m in sys.modules"
           " if m == 'numpy' or m.split('.')[0] == 'citnorm')))")

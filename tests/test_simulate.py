@@ -21,6 +21,7 @@ from citnorm.simulate import (
     config_from_dict,
     generate_corpus,
     load_config,
+    write_simulated,
 )
 
 
@@ -144,14 +145,19 @@ STRADDLING = SimulationConfig(
 )
 
 
-def test_units_larger_than_a_block_simulate_the_pinned_corpus():
+def test_units_larger_than_a_block_simulate_the_pinned_corpus(tmp_path):
     # the digest of this config's JSON Lines text as the simulator wrote it when it drew
-    # each unit's citations in one call, before it drew them in blocks
+    # each unit's citations in one call, before it drew them in blocks; the streamed
+    # writer, which never holds the corpus, writes the same bytes
     assert simulate_module._BLOCK_PUBS == 2048
+    digest = "2fec0c0eeeb21143a3f6af35e8ffc8a525e22baee879fbba342cbf3037ccbdcc"
     text = corpus_to_jsonl(generate_corpus(STRADDLING))
     assert len(text) == 1_316_794
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2fec0c0eeeb21143a3f6af35e8ffc8a525e22baee879fbba342cbf3037ccbdcc")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    write_simulated(STRADDLING, tmp_path / "corpus.jsonl")
+    written = (tmp_path / "corpus.jsonl").read_bytes()
+    assert len(written) == 1_316_794
+    assert hashlib.sha256(written).hexdigest() == digest
 
 
 @pytest.mark.parametrize("block", [1, 7, 16])
