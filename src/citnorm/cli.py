@@ -31,13 +31,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _corpus_command(sub, name: str, help_: str, census_inferred: bool = False) -> _Parser:
-    """A subcommand that reads a corpus, with its --corpus, --census and --first-year."""
+    """A subcommand that reads a corpus, with its --corpus and --census."""
     p = sub.add_parser(name, help=help_)
     p.add_argument("--corpus", required=True, help="publication JSONL file")
     p.add_argument("--census", required=not census_inferred, type=int, help="census year" + (
         " (default: inferred from the file)" if census_inferred else ""))
-    p.add_argument("--first-year", type=int, default=None,
-                   help="earliest admissible publication year (default: min in file)")
     return p
 
 
@@ -92,7 +90,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_corpus(args) -> corpus.Corpus:
-    return corpus.parse_corpus(args.corpus, census_year=args.census, first_year=args.first_year)
+    return corpus.parse_corpus(args.corpus, census_year=args.census)
 
 
 def _run(args) -> None:

@@ -38,7 +38,8 @@ A :class:`Corpus` holds one column per fact, in the order above, not one object 
 record. :class:`Publication` objects are built from the columns only where a caller
 asks for them, each ``citations_by_year`` a read-only :class:`CitationsByYear` over its row.
 That build, :func:`parse_corpus` and the simulator run with the cyclic collector paused, and
-leave their records in its oldest generation.
+leave their records in its oldest generation; on CPython 3.12 they only pause, as the immortal
+objects its collections move to the permanent generation count as a freeze.
 
 Every file citnorm writes goes through :func:`_write_text`, whole or not at all, as text
 pieces: a corpus as pieces of ``_CHUNK_LINES`` lines, so no write holds its whole text. An id
@@ -239,13 +240,12 @@ _required_values = itemgetter(*_REQUIRED_KEYS)
 _COLUMNS = ("ids", "units", "fields", "pub_years", "doc_types", "totals", "by_year")
 
 
-def _checked_columns(columns: Sequence[tuple], census: int, first: int,
+def _checked_columns(columns: Sequence[tuple], census: int,
                      line_nos: Sequence[int] | None = None) -> Sequence[tuple]:
     """``columns`` (in ``_COLUMNS`` order) of checked records, in id order, after the
-    corpus-level checks, the first fault ending them: ids unique; ``census`` and ``first``
-    ints; each record's span in order (its year in [first, census], a by-year row to the
-    census with no gaps that ends at its total); then ``first`` against ``census``. With
-    ``line_nos``, a fault names its line."""
+    corpus-level checks, the first fault ending them: ids unique; ``census`` an int; each
+    record's span in order (its year not after ``census``, a by-year row to the census with
+    no gaps that ends at its total). With ``line_nos``, a fault names its line."""
     def error(i: int, message: str) -> ValidationError:
         return ValidationError(message if line_nos is None else f"line {line_nos[i]}: {message}")
 
@@ -255,12 +255,11 @@ def _checked_columns(columns: Sequence[tuple], census: int, first: int,
         index: dict[str, int] = {}  # the first record whose id an earlier one holds is named
         i = next(i for i, pid in enumerate(ids) if index.setdefault(pid, i) != i)
         raise error(i, f"duplicate id {ids[i]}")
-    for name, year in (("census_year", census), ("first_year", first)):
-        if type(year) is not int:  # type(): a bool is no year
-            raise ValidationError(f"{name} {year!r} must be an integer")
+    if type(census) is not int:  # type(): a bool is no year
+        raise ValidationError(f"census_year {census!r} must be an integer")
     for i, (pid, year, total, row) in enumerate(zip(ids, columns[3], columns[5], columns[6])):
-        if not first <= year <= census:
-            fault = f"pub_year {year} outside [{first}, {census}]"
+        if year > census:
+            fault = f"pub_year {year} is after census_year {census}"
         elif row is not None and year + len(row) - 1 != census:
             fault = f"citations_by_year must cover every year from {year} to {census} with no gaps"
         elif row is not None and row[-1] != total:
@@ -268,8 +267,6 @@ def _checked_columns(columns: Sequence[tuple], census: int, first: int,
         else:
             continue
         raise error(i, f"publication {pid}: {fault}")
-    if first > census:
-        raise ValidationError(f"first_year {first} is after census_year {census}")
     if not ordered:
         order = sorted(range(len(ids)), key=ids.__getitem__)
         columns = tuple(tuple(map(column.__getitem__, order)) for column in columns)
@@ -279,10 +276,10 @@ def _checked_columns(columns: Sequence[tuple], census: int, first: int,
 class Corpus:
     """Validated, immutable set of publications in canonical (id) order.
 
-    Citations are counted until the end of ``census_year``; every publication
-    year must fall inside [first_year, census_year]. The corpus is stored as
-    columns, in :class:`Publication`'s field order, tuples whose i-th entries describe
-    the publication with the i-th smallest id:
+    Citations are counted until the end of ``census_year``; no publication year
+    may come after it. The corpus is stored as columns, in :class:`Publication`'s
+    field order, tuples whose i-th entries describe the publication with the i-th
+    smallest id:
 
         ids         the ids, strictly increasing
         units       ``unit_ids`` tuples, as listed (a repeated id is kept)
@@ -302,23 +299,22 @@ class Corpus:
     Safe for concurrent read access once constructed.
     """
 
-    __slots__ = ("census_year", "first_year", *_COLUMNS, "_publications")
+    __slots__ = ("census_year", *_COLUMNS, "_publications")
 
-    def __init__(self, publications: Iterable[Publication], census_year: int,
-                 first_year: int) -> None:
+    def __init__(self, publications: Iterable[Publication], census_year: int) -> None:
         pubs = tuple(publications)
         columns = [tuple(map(attrgetter(name), pubs)) for name in Publication.__slots__]
         columns[6] = tuple(map(_row, columns[6], columns[3]))
-        _fill(self, census_year, first_year, *_checked_columns(columns, census_year, first_year))
+        _fill(self, census_year, *_checked_columns(columns, census_year))
 
     @classmethod
-    def _from_columns(cls, census_year: int, first_year: int, *columns) -> Corpus:
+    def _from_columns(cls, census_year: int, *columns) -> Corpus:
         """A corpus over columns (in ``_COLUMNS`` order) that need no check: every
         record has passed the :class:`Publication` checks and the span checks, and
         the ids are strictly increasing. For :func:`parse_corpus`, the simulator and
         the selections."""
         corpus = object.__new__(cls)
-        _fill(corpus, census_year, first_year, *map(tuple, columns))
+        _fill(corpus, census_year, *map(tuple, columns))
         return corpus
 
     __setattr__ = CitationsByYear.__setattr__
@@ -350,12 +346,13 @@ class Corpus:
         return pubs
 
 
-# census year, first year and the columns: what a corpus holds besides its cache
+# the census year and the columns: what a corpus holds besides its cache
 _state = attrgetter(*Corpus.__slots__[:-1])
+_columns = attrgetter(*_COLUMNS)
 
 
-def _fill(corpus: Corpus, census_year: int, first_year: int, *columns: tuple) -> None:
-    for name, value in zip(Corpus.__slots__, (census_year, first_year, *columns, None)):
+def _fill(corpus: Corpus, census_year: int, *columns: tuple) -> None:
+    for name, value in zip(Corpus.__slots__, (census_year, *columns, None)):
         object.__setattr__(corpus, name, value)
 
 
@@ -368,7 +365,7 @@ def _materialize(corpus: Corpus) -> tuple[Publication, ...]:
     checks. The publications share the columns' id strings, id tuples, numbers and
     by-year rows; the views of one publication year share one tuple of years.
     """
-    columns = _state(corpus)[2:]
+    columns = _columns(corpus)
     years, rows = columns[3], columns[6]
     spans = {year: tuple(range(year, corpus.census_year + 1)) for year in set(years)}
     views = _built(CitationsByYear, len(rows), (map(spans.__getitem__, years), rows))
@@ -387,9 +384,9 @@ def _built(cls: type, n: int, columns: Iterable[Iterable]) -> tuple:
 
 
 def _select(corpus: Corpus, indices: list[int]) -> Corpus:
-    """The corpus of the records at ``indices``, ascending, with ``corpus``'s years."""
-    return Corpus._from_columns(corpus.census_year, corpus.first_year, *(
-        map(column.__getitem__, indices) for column in _state(corpus)[2:]))
+    """The corpus of the records at ``indices``, ascending, with ``corpus``'s census year."""
+    return Corpus._from_columns(corpus.census_year, *(
+        map(column.__getitem__, indices) for column in _columns(corpus)))
 
 
 def select_unit(corpus: Corpus, unit_id: str) -> Corpus:
@@ -553,18 +550,16 @@ def _read_batch(reader: _RecordReader, lines: list[str], line_nos: list[int],
 
 
 @_gc_paused()
-def parse_corpus(path: str | Path, census_year: int | None = None,
-                 first_year: int | None = None) -> Corpus:
+def parse_corpus(path: str | Path, census_year: int | None = None) -> Corpus:
     """Parse a JSON Lines publication file into a validated :class:`Corpus`.
 
     The file is read once, as a stream, into columns; no :class:`Publication` is built.
     Each run of ``_BATCH_LINES`` non-blank lines goes to :func:`_read_batch`. A run ends
     early at a line whose first non-whitespace character is no ``{``, which no batch decodes.
     ``census_year`` defaults to the largest year the records carry, as
-    ``pub_year`` or as a ``citations_by_year`` key; ``first_year`` defaults
-    to the earliest ``pub_year``. A record's own faults are reported as its
-    line is read, its span and by-year coverage after the read, once the
-    census year is known. A record's fault names its line.
+    ``pub_year`` or as a ``citations_by_year`` key. A record's own faults are
+    reported as its line is read, its span and by-year coverage after the read,
+    once the census year is known. A record's fault names its line.
     """
     reader, line_nos, lines = _RecordReader(), [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
@@ -587,11 +582,9 @@ def parse_corpus(path: str | Path, census_year: int | None = None,
             raise ValidationError(f"cannot infer a census year from {path}")
         census_year = max(chain(map(itemgetter(3), records),
                                 (keys[-1] for keys, _, _ in reader.key_years.values() if keys)))
-    if first_year is None:
-        first_year = min(map(itemgetter(3), records), default=census_year)
-    return Corpus._from_columns(census_year, first_year,
+    return Corpus._from_columns(census_year,
                                 *_checked_columns(tuple(zip(*records)) or ((),) * len(_COLUMNS),
-                                                  census_year, first_year, line_nos))
+                                                  census_year, line_nos))
 
 
 def _jsonl_pieces(census_year: int, records: Iterable[tuple]) -> Iterator[str]:
@@ -621,11 +614,11 @@ def _jsonl_pieces(census_year: int, records: Iterable[tuple]) -> Iterator[str]:
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
     """The JSON Lines text of a corpus, in canonical order: the pieces of :func:`_jsonl_pieces`."""
-    return "".join(_jsonl_pieces(corpus.census_year, zip(*_state(corpus)[2:])))
+    return "".join(_jsonl_pieces(corpus.census_year, zip(*_columns(corpus))))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    _write_text(path, _jsonl_pieces(corpus.census_year, zip(*_state(corpus)[2:])))
+    _write_text(path, _jsonl_pieces(corpus.census_year, zip(*_columns(corpus))))
 
 
 def _utf8(text: str) -> bytes:

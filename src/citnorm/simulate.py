@@ -257,8 +257,7 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
         for column, values in zip(columns, block):
             column.extend(values)
     # each column's list is dropped as soon as its tuple is made
-    return Corpus._from_columns(config.census_year, config.first_year,
-                                *(tuple(columns.pop(0)) for _ in _COLUMNS))
+    return Corpus._from_columns(config.census_year, *(tuple(columns.pop(0)) for _ in _COLUMNS))
 
 
 @_gc_paused()

@@ -154,13 +154,12 @@ class AgeCorrelationMatrix:
 
 def _as_corpus(pubs: Corpus | Iterable[Publication]) -> Corpus:
     """``pubs`` itself if a corpus, else the corpus over them whose census year is the
-    largest year they carry and whose first year is their earliest ``pub_year``."""
+    largest year they carry."""
     if isinstance(pubs, Corpus):
         return pubs
     pubs = tuple(pubs)  # an iterator is read once, here, not once for the years and again below
-    years = [pub.pub_year for pub in pubs]
     keys = [max(pub.citations_by_year) for pub in pubs if pub.citations_by_year]
-    return Corpus(pubs, census_year=max(years + keys, default=0), first_year=min(years, default=0))
+    return Corpus(pubs, census_year=max([pub.pub_year for pub in pubs] + keys, default=0))
 
 
 def field_cohort(pubs: Corpus | Iterable[Publication], field_id: str, pub_year: int) -> Corpus:

@@ -42,7 +42,6 @@ GOLDEN_GROUP_ROWS = [
     (2000, 0, 0.21, 0.00),
 ]
 GOLDEN_CENSUS = 2000
-GOLDEN_FIRST = 1991
 
 
 def golden_group_scored() -> list[ScoredPublication]:
@@ -77,8 +76,8 @@ def make_pub(
     )
 
 
-def make_corpus(pubs, census_year: int = 2010, first_year: int = 2000) -> Corpus:
-    return Corpus(tuple(pubs), census_year=census_year, first_year=first_year)
+def make_corpus(pubs, census_year: int = 2010) -> Corpus:
+    return Corpus(tuple(pubs), census_year=census_year)
 
 
 def run_module(*args: str, **kwargs) -> subprocess.CompletedProcess:

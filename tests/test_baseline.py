@@ -51,7 +51,7 @@ def test_zero_cell_is_retained():
 
 
 def test_empty_corpus_rejected():
-    corpus = Corpus((), census_year=2010, first_year=2000)
+    corpus = Corpus((), census_year=2010)
     with pytest.raises(ValidationError, match="empty"):
         compute_baselines(corpus)
 
@@ -89,7 +89,7 @@ def test_single_field_self_consistency(rows):
         make_pub(f"p{i:03d}", field=f, year=y, citations=c)
         for i, (f, y, c) in enumerate(rows)
     ]
-    corpus = make_corpus(pubs, census_year=2004, first_year=2000)
+    corpus = make_corpus(pubs, census_year=2004)
     table = compute_baselines(corpus)
     total_e = sum(expected_citations(table, p) for p in corpus)
     total_c = sum(p.citations_total for p in corpus)
@@ -156,7 +156,7 @@ def test_csv_round_trip_is_exact(tmp_path_factory, rows):
     # means such as 1/3 or 2**53 - 1 over 7 need all 17 significant digits
     corpus = make_corpus([make_pub(f"p{i:03d}", field=f, year=y, citations=c)
                           for i, (f, y, c) in enumerate(rows)],
-                         census_year=2004, first_year=2000)
+                         census_year=2004)
     path = tmp_path_factory.mktemp("exact") / "baselines.csv"
     table = compute_baselines(corpus)
     write_baselines(table, path)

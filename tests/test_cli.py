@@ -126,7 +126,7 @@ def test_both_scoring_routes_write_the_same_scores(tmp_path, seed):
     if seed is None:
         write_corpus(Corpus([Publication(f"p{i:04d}", ("u1" if i < 10 else "u2",), ("f",),
                                          2005, "article", int(i == 0)) for i in range(3000)],
-                            census_year=2009, first_year=2005), corpus)
+                            census_year=2009), corpus)
     else:
         (tmp_path / "config.json").write_text(json.dumps({**ROUTES_CONFIG, "seed": seed}))
         assert main(["simulate", "--config", str(tmp_path / "config.json"), "--out", corpus]) == 0
@@ -230,19 +230,26 @@ def test_an_empty_cohort_is_named(workdir, tmp_path, capsys, command):
     ["trajectory", "--field", "fast", "--pub-year", "2003"],
     ["age-corr", "--field", "fast", "--pub-year", "2003"],
 ], ids=lambda command: command[0])
-def test_first_year_bounds_every_pub_year(workdir, tmp_path, capsys, command):
-    corpus = workdir / "corpus.jsonl"
-    records = [json.loads(line) for line in corpus.read_text().splitlines()]
-    line, first = next((n, r) for n, r in enumerate(records, 1) if r["pub_year"] == 2000)
+def test_census_bounds_every_pub_year(workdir, tmp_path, capsys, command):
+    records = [json.loads(line) for line in (workdir / "corpus.jsonl").read_text().splitlines()]
+    line, late = next((n, r) for n, r in enumerate(records, 1) if r["pub_year"] == 2000)
+    late.update(pub_year=2010, citations_by_year={"2010": late["citations_total"]})
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
     out = tmp_path / "out.csv"
     argv = [command[0], "--corpus", str(corpus), "--census", "2009", *command[1:],
             "--out", str(out)]
-    assert main([*argv, "--first-year", "2001"]) == 1
+    assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: line {line}: publication {first['id']}: pub_year 2000 outside [2001, 2009]"
+        f"error: line {line}: publication {late['id']}: pub_year 2010 is after census_year 2009"
     ]
     assert not out.exists()
-    assert main([*argv, "--first-year", "2000"]) == 0  # the earliest pub_year in the file
+    # a corpus has no other year bound
+    assert main([*argv, "--first-year", "2000"]) == 1
+    assert "unrecognized arguments: --first-year 2000" in capsys.readouterr().err
+    assert not out.exists()
+    argv[2] = str(workdir / "corpus.jsonl")
+    assert main(argv) == 0
     assert out.exists() and capsys.readouterr().err == ""
 
 

@@ -60,7 +60,7 @@ class TestParse:
     def test_two_well_formed_records(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1"), record("P2")])
-        corpus = parse_corpus(path, census_year=2010, first_year=2000)
+        corpus = parse_corpus(path, census_year=2010)
         assert len(corpus) == 2
         assert [p.id for p in corpus] == ["P1", "P2"]
 
@@ -68,41 +68,41 @@ class TestParse:
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1", citations_total=-1)])
         with pytest.raises(ValidationError, match="negative citation count"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     def test_duplicate_id_names_second_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1"), record("P1")])
         with pytest.raises(ValidationError, match="line 2: duplicate id P1"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     def test_record_fault_is_named_before_an_earlier_duplicate_id(self, tmp_path):
         # each record's own checks come first, then the ids, as for Corpus(publications)
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1"), record("P1"), record("")])
         with pytest.raises(ValidationError) as info:
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
         assert str(info.value) == "line 3: publication id must be a non-empty string"
 
     def test_repeated_field_id_names_its_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1"), record("P2", field_ids=["f1", "f2", "f1"])])
         with pytest.raises(ValidationError) as info:
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
         assert str(info.value) == "line 2: publication P2: field_ids repeats 'f1'"
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(record("P1")) + "\n{oops\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     @pytest.mark.parametrize("line", ['["id"]', '"P2"', "3", "null", "[]"])
     def test_line_that_is_no_object_names_its_line(self, tmp_path, line):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(record("P1")) + "\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="^line 2: expected a JSON object$"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"unit_ids": "u1"}, "unit_ids and field_ids must be arrays"),
@@ -129,13 +129,13 @@ class TestParse:
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1"), record("P2", **overrides)])
         with pytest.raises(ValidationError, match=f"^line 2: {message}$"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1", journal="Nature")])
         with pytest.raises(ValidationError, match="unknown key 'journal'"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     def test_missing_key_rejected_by_name(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -143,23 +143,21 @@ class TestParse:
         del obj["doc_type"]
         write_jsonl(path, [obj])
         with pytest.raises(ValidationError, match="missing key 'doc_type'"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     def test_year_outside_range(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, [record("P1", pub_year=1999)])
-        with pytest.raises(ValidationError, match="outside"):
-            parse_corpus(path, census_year=2010, first_year=2000)
         write_jsonl(path, [record("P1", pub_year=2011)])
-        with pytest.raises(ValidationError, match="outside"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+        with pytest.raises(ValidationError, match="^line 1: publication P1: pub_year 2011 "
+                                                  "is after census_year 2010$"):
+            parse_corpus(path, census_year=2010)
 
     def test_non_monotone_counts(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         counts = {"2005": 4, "2006": 3, "2007": 5, "2008": 5, "2009": 5, "2010": 5}
         write_jsonl(path, [record("P1", citations_total=5, citations_by_year=counts)])
         with pytest.raises(ValidationError, match="non-monotone"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"pub_year": True}, "pub_year must be an integer"),
@@ -171,7 +169,7 @@ class TestParse:
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P1"), record("P2", **overrides)])
         with pytest.raises(ValidationError, match=f"^line 2: publication P2: {message}$"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     def test_citation_total_bounded_by_exact_float_range(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -188,7 +186,7 @@ class TestParse:
                                                 citations_by_year=counts)])
         with pytest.raises(ValidationError,
                            match="^line 2: citations_by_year key ' 2008' is not a year$"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     @pytest.mark.parametrize("key", ["2_008", "+2009", "\uff12\uff10\uff10\uff18", "2008 ",
                                      "02008", "-0", "2008.0", "x"])
@@ -198,7 +196,7 @@ class TestParse:
                                                 citations_by_year={"2008": 1, key: 1})])
         with pytest.raises(ValidationError,
                            match=f"^line 2: citations_by_year key '{re.escape(key)}' is not a year$"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     @pytest.mark.parametrize("counts, message", [
         ({"2008": 1, "2010": 5}, "must cover every year from 2008 to 2010 with no gaps"),
@@ -211,7 +209,7 @@ class TestParse:
                                                 citations_by_year=counts)])
         with pytest.raises(ValidationError,
                            match=f"^line 2: publication P2: citations_by_year {message}$"):
-            parse_corpus(path, census_year=2010, first_year=2000)
+            parse_corpus(path, census_year=2010)
 
     @pytest.mark.parametrize("counts", [{"2008": 1, "2009": 3, "2010": 5},
                                         {"2010": 1, "2011": 3, "2012": 5}],
@@ -228,15 +226,9 @@ class TestParse:
     def test_out_of_order_lines_are_sorted(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record("P3"), record("P1"), record("P2")])
-        corpus = parse_corpus(path, census_year=2010, first_year=2000)
+        corpus = parse_corpus(path, census_year=2010)
         assert [p.id for p in corpus] == ["P1", "P2", "P3"]
         assert corpus == make_corpus([make_pub(pid, citations=3) for pid in ("P3", "P1", "P2")])
-
-    def test_first_year_after_census_rejected(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("")
-        with pytest.raises(ValidationError, match="first_year 2011 is after census_year 2010"):
-            parse_corpus(path, census_year=2010, first_year=2011)
 
     def test_integer_literal_beyond_digit_limit(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -247,12 +239,6 @@ class TestParse:
                      lambda: parse_corpus(path)):
             with pytest.raises(ValidationError, match="^line 2: integer literal longer than"):
                 read()
-
-    def test_default_first_year_is_min(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, [record("P1", pub_year=2003), record("P2", pub_year=2007)])
-        corpus = parse_corpus(path, census_year=2010)
-        assert corpus.first_year == 2003
 
     def test_infer_census_year(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -364,16 +350,32 @@ def test_round_trip_fixed(tmp_path):
     corpus = make_corpus(pubs)
     path = tmp_path / "out.jsonl"
     write_corpus(corpus, path)
-    again = parse_corpus(path, census_year=2010, first_year=2000)
+    again = parse_corpus(path, census_year=2010)
     assert again == corpus
+
+
+def test_a_corpus_is_its_census_year_and_its_records(tmp_path):
+    # seed 1 draws the years 1994, 2000 and 1991, none of them the configured first year
+    config = config_from_dict({"fields": [{"field_id": "f1", "rate": 2.0}],
+                               "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 3}],
+                               "first_year": 1990, "census_year": 2009, "seed": 1})
+    generated = generate_corpus(config)
+    assert min(generated.pub_years) > config.first_year
+    write_corpus(generated, tmp_path / "corpus.jsonl")
+    assert parse_corpus(tmp_path / "corpus.jsonl", 2009) == generated
+    # a unit whose earliest year is after its parent's selects what its records build
+    parent = make_corpus([make_pub("P1", year=2001, units=("u1",)),
+                          make_pub("P2", year=2005, units=("u2",))])
+    selected = select_unit(parent, "u2")
+    assert selected == Corpus(selected.publications, parent.census_year)
 
 
 def test_corpus_pickles_and_copies(tmp_path):
     built = make_corpus([make_pub("P2", year=2009, citations=3, by_year={2009: 1, 2010: 3}),
                          make_pub("P1", units=())])
     write_corpus(built, tmp_path / "corpus.jsonl")
-    parsed = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
-    iterated = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    parsed = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010)
+    iterated = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010)
     assert len(iterated.publications) == 2
     for corpus in (built, parsed, iterated):
         for again in (pickle.loads(pickle.dumps(corpus)), copy.copy(corpus),
@@ -392,7 +394,7 @@ def test_a_corpus_holds_its_columns_and_builds_its_publications_once(tmp_path, m
     builds, materialize = [], corpus_module._materialize
     monkeypatch.setattr(corpus_module, "_materialize",
                         lambda corpus: builds.append(corpus) or materialize(corpus))
-    read = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    read = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010)
     for corpus in (read, generate_corpus(config), make_corpus(pubs)):
         for again in (pickle.loads(pickle.dumps(corpus)), copy.copy(corpus),
                       copy.deepcopy(corpus)):
@@ -400,7 +402,7 @@ def test_a_corpus_holds_its_columns_and_builds_its_publications_once(tmp_path, m
         score_units(corpus, compute_baselines(corpus))
     assert make_corpus(pubs) == read and builds == [], "comparing or scoring built publications"
     # the tuple is built once, however often it is read, and the columns stay
-    iterated = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    iterated = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010)
     first = iterated.publications
     assert iterated.publications is first and list(iterated) == list(first) == pubs
     assert builds == [iterated]
@@ -450,7 +452,7 @@ def corpora(draw, ids=ids, units=st.sampled_from(["u1", "u2", "u3"]),
             citations_total=total,
             citations_by_year=by_year,
         ))
-    return Corpus(tuple(pubs), census_year=census, first_year=first)
+    return Corpus(tuple(pubs), census_year=census)
 
 
 @given(corpora())
@@ -459,7 +461,7 @@ def test_round_trip_property(tmp_path_factory, corpus):
     text = corpus_to_jsonl(corpus)
     path = tmp_path_factory.mktemp("rt") / "corpus.jsonl"
     path.write_text(text, encoding="utf-8")
-    again = parse_corpus(path, census_year=corpus.census_year, first_year=corpus.first_year)
+    again = parse_corpus(path, census_year=corpus.census_year)
     assert again == corpus
     assert corpus_to_jsonl(again) == text
 
@@ -499,72 +501,60 @@ def test_writer_matches_json_dumps_byte_for_byte(tmp_path_factory, corpus):
     write_corpus(corpus, path)
     expected = "".join(reference_jsonl_line(pub) for pub in corpus)
     assert path.read_bytes() == expected.encode("ascii")
-    again = parse_corpus(path, census_year=corpus.census_year, first_year=corpus.first_year)
+    again = parse_corpus(path, census_year=corpus.census_year)
     assert again == corpus
 
 
 # --- the one corpus-level check ----------------------------------------------
 
-# (publications, census year, first year, the first fault without its line number)
+# (publications, census year, the first fault without its line number)
 ONE_CHECK_CASES = {
     "year outside the window": (
-        [make_pub("P1", year=1999)], 2010, 2000,
-        "publication P1: pub_year 1999 outside [2000, 2010]"),
+        [make_pub("P1", year=2011)], 2010,
+        "publication P1: pub_year 2011 is after census_year 2010"),
     "by-year gap": (
-        [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2010: 5})], 2010, 2000,
+        [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2010: 5})], 2010,
         "publication P1: citations_by_year must cover every year from 2008 to 2010 with no gaps"),
     "by-year gap as long as the span": (
-        [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2010: 5})], 2009, 2000,
+        [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2010: 5})], 2009,
         "publication P1: citations_by_year must cover every year from 2008 to 2009 with no gaps"),
     "by-year past the census": (
         [make_pub("P1", year=2008, citations=5, by_year={2008: 1, 2009: 5, 2010: 5})], 2009,
-        2000,
         "publication P1: citations_by_year must cover every year from 2008 to 2009 with no gaps"),
     "by-year end not the total": (
-        [make_pub("P1", year=2009, citations=5, by_year={2009: 1, 2010: 4})], 2010, 2000,
+        [make_pub("P1", year=2009, citations=5, by_year={2009: 1, 2010: 4})], 2010,
         "publication P1: citations_by_year at census year 2010 does not equal citations_total"),
     "duplicate id": (
-        [make_pub("P1"), make_pub("P2"), make_pub("P1")], 2010, 2000, "duplicate id P1"),
-    "first year after census, no records": (
-        [], 2005, 2006, "first_year 2006 is after census_year 2005"),
+        [make_pub("P1"), make_pub("P2"), make_pub("P1")], 2010, "duplicate id P1"),
     # several faults: the first in the order parse_corpus finds them
-    "span before first year after census": (
-        [make_pub("P1", year=2005)], 2005, 2006,
-        "publication P1: pub_year 2005 outside [2006, 2005]"),
     "first span fault in the order given": (
-        [make_pub("P2", year=1999), make_pub("P1", year=1998)], 2010, 2000,
-        "publication P2: pub_year 1999 outside [2000, 2010]"),
+        [make_pub("P2", year=2011), make_pub("P1", year=2012)], 2010,
+        "publication P2: pub_year 2011 is after census_year 2010"),
     "duplicate before span": (
-        [make_pub("P2", year=1999), make_pub("P1"), make_pub("P2")], 2010, 2000,
-        "duplicate id P2"),
+        [make_pub("P2", year=2011), make_pub("P1"), make_pub("P2")], 2010, "duplicate id P2"),
     "first duplicate in the order given": (
-        [make_pub("B"), make_pub("A"), make_pub("B"), make_pub("A")], 2010, 2000,
-        "duplicate id B"),
-    # a census or first year whose type() is not int, after the ids and before any span
-    "census year a float": (
-        [make_pub("P1")], 2010.0, 2000, "census_year 2010.0 must be an integer"),
-    "census year a string": (
-        [make_pub("P1")], "2010", 2000, "census_year '2010' must be an integer"),
-    "census year a bool": ([make_pub("P1")], True, 2000, "census_year True must be an integer"),
-    "first year a float": (
-        [make_pub("P1")], 2010, 2000.0, "first_year 2000.0 must be an integer"),
+        [make_pub("B"), make_pub("A"), make_pub("B"), make_pub("A")], 2010, "duplicate id B"),
+    # a census year whose type() is not int, after the ids and before any span
+    "census year a float": ([make_pub("P1")], 2010.0, "census_year 2010.0 must be an integer"),
+    "census year a string": ([make_pub("P1")], "2010", "census_year '2010' must be an integer"),
+    "census year a bool": ([make_pub("P1")], True, "census_year True must be an integer"),
     "duplicate before year type": (
-        [make_pub("P1"), make_pub("P1")], 2010, False, "duplicate id P1"),
+        [make_pub("P1"), make_pub("P1")], False, "duplicate id P1"),
     "year type before span": (
-        [make_pub("P1", year=1999)], 2010, False, "first_year False must be an integer"),
+        [make_pub("P1", year=2011)], 2010.0, "census_year 2010.0 must be an integer"),
 }
 
 
-@pytest.mark.parametrize("pubs, census, first, message", ONE_CHECK_CASES.values(),
+@pytest.mark.parametrize("pubs, census, message", ONE_CHECK_CASES.values(),
                          ids=ONE_CHECK_CASES.keys())
-def test_corpus_reports_the_fault_parse_corpus_reports(tmp_path, pubs, census, first, message):
+def test_corpus_reports_the_fault_parse_corpus_reports(tmp_path, pubs, census, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(map(reference_jsonl_line, pubs)))
     with pytest.raises(ValidationError) as parsed:
-        parse_corpus(path, census_year=census, first_year=first)
+        parse_corpus(path, census_year=census)
     assert re.sub(r"^line \d+: ", "", str(parsed.value)) == message
     with pytest.raises(ValidationError) as built:
-        Corpus(pubs, census_year=census, first_year=first)
+        Corpus(pubs, census_year=census)
     assert str(built.value) == message
 
 
@@ -618,7 +608,7 @@ def test_columns_and_jsonl_keys_come_in_publication_field_order(tmp_path):
             make_pub("P1", units=(), citations=4)]
     built = make_corpus(pubs)
     write_corpus(built, tmp_path / "corpus.jsonl")
-    parsed = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010, first_year=2000)
+    parsed = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010)
     simulated = generate_corpus(config_from_dict({
         "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
         "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 4}],
@@ -769,7 +759,7 @@ def test_changing_the_callers_mapping_changes_nothing_reported():
     pubs = [make_pub("a", field="f", year=2000, citations=3, by_year=counts),
             make_pub("b", field="f", year=2000, citations=5, by_year={2000: 2, 2001: 5})]
     counts[2000] = 3  # before, the publication kept this dict, so every report below changed
-    assert Corpus(pubs[:1], census_year=2001, first_year=2000).by_year == ((1, 3),)
+    assert Corpus(pubs[:1], census_year=2001).by_year == ((1, 3),)
     assert trajectory(pubs, "f", 2000).means == ((2000, 1.5), (2001, 4.0))
     assert age_correlation_matrix(pubs).entries[0][1] == 1.0
 
@@ -860,7 +850,7 @@ def mixed_corpus(n: int) -> Corpus:
         pubs.append(make_pub(pid, year=year, citations=i % 4 + 2004 - year,
                              units=unit_lists[i % 4], by_year=by_year,
                              fields=("f1", "fé2") if i % 2 else ("f1",)))
-    return make_corpus(pubs, census_year=2004, first_year=2000)
+    return make_corpus(pubs, census_year=2004)
 
 
 @pytest.mark.parametrize("target", ["file", "fifo"])

@@ -26,7 +26,7 @@ from citnorm.indicators import (
     write_scores,
 )
 
-from conftest import GOLDEN_CENSUS, GOLDEN_FIRST, GOLDEN_GROUP_ROWS, make_corpus, make_pub
+from conftest import GOLDEN_CENSUS, GOLDEN_GROUP_ROWS, make_corpus, make_pub
 
 
 def sp(pid, c, e, year=2005):
@@ -127,7 +127,7 @@ def golden_corpus_and_table():
         fid = f"f_{e:.2f}"
         cells[(fid, year)] = BaselineCell(mean_citations=e, cell_size=100)
         pubs.append(make_pub(f"p{i:02d}", field=fid, year=year, citations=c, units=("A",)))
-    corpus = make_corpus(pubs, census_year=GOLDEN_CENSUS, first_year=GOLDEN_FIRST)
+    corpus = make_corpus(pubs, census_year=GOLDEN_CENSUS)
     return corpus, BaselineTable(cells)
 
 
@@ -158,7 +158,7 @@ class TestScoreUnit:
                      citations=rng.randint(1, 30), units=("all",))
             for i in range(400)
         ]
-        corpus = make_corpus(pubs, census_year=2008, first_year=2001)
+        corpus = make_corpus(pubs, census_year=2008)
         table = compute_baselines(corpus)
         score = score_unit(corpus, table, "all")
         assert score.cpp_fcsm == pytest.approx(1.0, abs=1e-9)
@@ -202,7 +202,7 @@ class TestScoreUnit:
         ]
         path, again = tmp_path / "corpus.jsonl", tmp_path / "again.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        parsed = parse_corpus(path, census_year=2010, first_year=2000)
+        parsed = parse_corpus(path, census_year=2010)
         write_corpus(parsed, again)
         assert again.read_bytes() == path.read_bytes()
         built = make_corpus([
@@ -402,8 +402,8 @@ def test_global_scale_invariance(k):
                  citations=k * p.citations_total, units=p.unit_ids)
         for p in pubs
     ]
-    corpus = make_corpus(pubs, census_year=2008, first_year=2001)
-    corpus_k = make_corpus(scaled, census_year=2008, first_year=2001)
+    corpus = make_corpus(pubs, census_year=2008)
+    corpus_k = make_corpus(scaled, census_year=2008)
     table, table_k = compute_baselines(corpus), compute_baselines(corpus_k)
     for uid in ("U1", "U2"):
         one = score_unit(corpus, table, uid)
@@ -450,7 +450,7 @@ def mixed_corpora(draw):
         )
         for k in numbers
     ]
-    return make_corpus(pubs, census_year=2010, first_year=2007)
+    return make_corpus(pubs, census_year=2010)
 
 
 @given(mixed_corpora(), st.data())

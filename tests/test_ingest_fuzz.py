@@ -66,7 +66,7 @@ def reference_record(obj, line_no: int) -> Publication:
         raise fault(str(exc)) from None
 
 
-def reference_parse(path, census_year=None, first_year=None) -> Corpus:
+def reference_parse(path, census_year=None) -> Corpus:
     numbered: list[tuple[int, Publication]] = []
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -98,17 +98,15 @@ def reference_parse(path, census_year=None, first_year=None) -> Corpus:
             raise ValidationError(f"cannot infer a census year from {path}")
         census_year = max(max((pub.pub_year, *(pub.citations_by_year or ())))
                           for _, pub in numbered)
-    if first_year is None:
-        first_year = min((pub.pub_year for _, pub in numbered), default=census_year)
     for line_no, pub in numbered:
-        if not first_year <= pub.pub_year <= census_year:
+        if pub.pub_year > census_year:
             raise ValidationError(f"line {line_no}: publication {pub.id}: pub_year "
-                                  f"{pub.pub_year} outside [{first_year}, {census_year}]")
+                                  f"{pub.pub_year} is after census_year {census_year}")
         try:
-            Corpus([pub], census_year=census_year, first_year=first_year)
+            Corpus([pub], census_year=census_year)
         except ValidationError as exc:
             raise ValidationError(f"line {line_no}: {exc}") from None
-    return Corpus([pub for _, pub in numbered], census_year=census_year, first_year=first_year)
+    return Corpus([pub for _, pub in numbered], census_year=census_year)
 
 
 RECORDS = [
@@ -200,8 +198,7 @@ def outcome(read, path, **years):
 
 @given(data=mutated_files(),
        years=st.sampled_from([{}, {"census_year": 2010}, {"census_year": 2009},
-                              {"census_year": 2010, "first_year": 2001},
-                              {"census_year": 2005, "first_year": 2006}]))
+                              {"census_year": 2005}]))
 @settings(max_examples=400, deadline=None)
 def test_mutated_file_reads_as_the_reference_reader_reads_it(tmp_path_factory, data, years):
     path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
@@ -278,10 +275,8 @@ def drawn_records(draw, fault: str) -> dict:
 
 @pytest.mark.parametrize("fault", FAULTS)
 @given(data=st.data(),
-       years=st.sampled_from([{}, {}, {"census_year": 2011},
-                              {"census_year": 2011, "first_year": 2000},
-                              {"census_year": 2010, "first_year": 2001},
-                              {"census_year": 2005, "first_year": 2006}]))
+       years=st.sampled_from([{}, {}, {"census_year": 2011}, {"census_year": 2010},
+                              {"census_year": 2005}]))
 @settings(max_examples=100, deadline=None)
 def test_drawn_records_read_as_the_reference_reader_reads_them(tmp_path_factory, fault, data,
                                                                years):

@@ -45,7 +45,7 @@ def pinned_corpus() -> Corpus:
         pubs.append(Publication(f"z{serial}", (UNITS[serial],), ("zoo",), 2004, "review", 0,
                                 {y: 0 for y in range(2004, CENSUS + 1)}))
     rng.shuffle(pubs)
-    return Corpus(pubs, census_year=CENSUS, first_year=FIRST)
+    return Corpus(pubs, census_year=CENSUS)
 
 
 # sha256 of each output, recorded on the code these tests were written against

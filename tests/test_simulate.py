@@ -210,7 +210,6 @@ def test_generated_records_pass_the_public_checks(config):
         tuple(Publication(**{f.name: getattr(pub, f.name) for f in fields(Publication)})
               for pub in corpus),
         census_year=config.census_year,
-        first_year=config.first_year,
     )
     assert corpus == rebuilt
     assert len(corpus) == sum(u.n_pubs for u in config.units)
