@@ -13,16 +13,16 @@ consequences of e = 0 are handled by the indicator layer.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from itertools import count
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
-from .corpus import _MAX_CITATIONS, Corpus, Publication, _write_text
+from ._files import _MAX_CITATIONS, _csv_int, _csv_real, _csv_rows, _csv_text, _write_text
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from .corpus import Corpus, Publication
 
 _CSV_HEADER = ["field_id", "pub_year", "mean_citations", "cell_size"]
 # Nonzero cell means: one of whole counts is at least 1/cell_size, and within the range every
@@ -111,55 +111,6 @@ def write_baselines(table: BaselineTable, path: str | Path) -> None:
     _write_text(path, [_csv_text(_CSV_HEADER, (
         [fid, year, repr(float(cell.mean_citations)), cell.cell_size]
         for (fid, year), cell in sorted(table.cells.items())))])
-
-
-def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
-    """The CSV text of a header and rows, each line ending in a bare newline."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _csv_int(text: str) -> int:
-    """An integer CSV field, written as ``str(int)`` writes it: no sign, padding or '_'."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"non-canonical integer {text!r}")
-    return value
-
-
-def _csv_real(text: str) -> float:
-    """A real CSV field: ASCII, with no '_' and no surrounding whitespace."""
-    if not text.isascii() or "_" in text or text != text.strip():
-        raise ValueError(f"malformed real {text!r}")
-    return float(text)
-
-
-def _csv_rows(path: str | Path, what: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank rows after the header of a UTF-8 CSV file, each with its row number.
-    A header other than ``header``, a row of another width, or a row that the csv module or
-    UTF-8 rejects, is a one-line error naming it. ``surrogateescape`` turns a byte that is
-    not UTF-8 into a lone surrogate, which no valid row holds."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        rows = csv.reader(handle)
-        for row_no in count(1):
-            try:
-                row = next(rows, None)
-                ",".join(row or ()).encode("utf-8")
-            except (csv.Error, UnicodeEncodeError) as exc:  # csv: e.g. an unclosed quote
-                fault = "not valid UTF-8" if isinstance(exc, UnicodeError) else exc
-                raise ValidationError(f"{what} CSV row {row_no}: {fault}") from None
-            if row_no == 1 and row != header:
-                raise ValidationError(f"bad {what} CSV header: {row}")
-            if row is None:
-                return
-            if row and row_no > 1:
-                if len(row) != len(header):
-                    raise ValidationError(
-                        f"{what} CSV row {row_no}: expected {len(header)} columns")
-                yield row_no, row
 
 
 def read_baselines(path: str | Path) -> BaselineTable:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import baseline, corpus, indicators, report, stats
+from ._files import INDICATOR_NAMES
 from .errors import ValidationError
 
 
@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("plot", help="scatter plot of two indicators as SVG")
     p.add_argument("--scores", required=True, help="scores CSV written by score")
     for axis in ("x", "y"):
-        p.add_argument(f"--{axis}", required=True, choices=indicators.INDICATOR_NAMES,
+        p.add_argument(f"--{axis}", required=True, choices=INDICATOR_NAMES,
                        help=f"indicator on the {axis} axis")
     p.add_argument("--threshold", type=int, default=50,
                    help="red-square cutoff on publications with a full citation year")
@@ -82,23 +82,27 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rank", help="print the top units by one indicator as CSV")
     p.add_argument("--scores", required=True, help="scores CSV written by score")
-    p.add_argument("--by", required=True, choices=indicators.INDICATOR_NAMES,
+    p.add_argument("--by", required=True, choices=INDICATOR_NAMES,
                    help="indicator to rank by, highest first")
     p.add_argument("--top", required=True, type=int, help="number of units to print")
 
     return parser
 
 
-def _load_corpus(args) -> corpus.Corpus:
+def _load_corpus(args):
+    from . import corpus
     return corpus.parse_corpus(args.corpus, census_year=args.census)
 
 
 def _run(args) -> None:
+    # each command imports only the modules it calls: a run compiles and loads no other
     if args.command == "baselines":
+        from . import baseline
         table = baseline.compute_baselines(_load_corpus(args))
         baseline.write_baselines(table, args.out)
 
     elif args.command == "score":
+        from . import baseline, indicators
         data = _load_corpus(args)
         if args.baselines is not None:
             table = baseline.read_baselines(args.baselines)
@@ -113,29 +117,34 @@ def _run(args) -> None:
         indicators.write_scores(scores, args.out)
 
     elif args.command == "correlate":
+        from . import indicators, stats
         scores = indicators.read_scores(args.scores)
         report_ = stats.correlate_indicators(scores, min_pubs=args.min_pubs)
         stats.write_correlation_report(report_, args.out)
 
     elif args.command == "trajectory":
+        from . import stats
         traj = stats.trajectory(_load_corpus(args), args.field, args.pub_year)
         stats.write_trajectory(traj, args.out)
 
     elif args.command == "age-corr":
+        from . import stats
         cohort = stats.field_cohort(_load_corpus(args), args.field, args.pub_year)
         stats.write_age_matrix(stats.age_correlation_matrix(cohort), args.out)
 
     elif args.command == "simulate":
-        from . import simulate  # numpy loads only for the commands that use it
+        from . import simulate
         simulate.write_simulated(simulate.load_config(args.config), args.out)
 
     elif args.command == "plot":
+        from . import indicators, report
         scores = indicators.read_scores(args.scores)
         spec = report.ScatterSpec(x_indicator=args.x, y_indicator=args.y,
                                   threshold=args.threshold, axis_max=args.axis_max)
         report.write_scatter(scores, spec, args.out)
 
     elif args.command == "rank":
+        from . import indicators, report
         scores = indicators.read_scores(args.scores)
         try:  # the stream encodes the whole text before it writes any of it
             sys.stdout.write(report.render_ranking(scores, by=args.by, top=args.top))

@@ -41,7 +41,7 @@ That build, :func:`parse_corpus` and the simulator run with the cyclic collector
 leave their records in its oldest generation; on CPython 3.12 they only pause, as the immortal
 objects its collections move to the permanent generation count as a freeze.
 
-Every file citnorm writes goes through :func:`_write_text`, whole or not at all, as text
+Every file citnorm writes goes through :func:`_files._write_text`, whole or not at all, as text
 pieces: a corpus as pieces of ``_CHUNK_LINES`` lines, so no write holds its whole text. An id
 holding a lone surrogate (a ``"\\ud800"`` escape) is an error only there, as UTF-8 cannot hold it.
 """
@@ -49,8 +49,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
-import stat
 import sys
 from collections import deque
 from collections.abc import Mapping
@@ -63,10 +61,9 @@ from operator import attrgetter, itemgetter, le, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from ._files import _MAX_CITATIONS, _write_text
 from .errors import ValidationError
 
-# Largest integer a float64 holds exactly; indicator arithmetic converts counts to float.
-_MAX_CITATIONS = 2 ** 53 - 1
 _INT_ONLY = frozenset({int})
 
 
@@ -620,41 +617,3 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     _write_text(path, _jsonl_pieces(corpus.census_year, zip(*_columns(corpus))))
 
-
-def _utf8(text: str) -> bytes:
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValidationError(f"cannot write {exc.object[exc.start]!r} as UTF-8") from None
-
-
-def _write_text(path: str | Path, pieces: Iterable[str]) -> None:
-    """Write the text ``pieces`` to ``path`` as UTF-8, one by one, whole or not at all.
-
-    A character UTF-8 cannot hold is a :class:`ValidationError`, in the first piece before
-    any file is touched. A temporary file beside the target takes the pieces, then replaces
-    it or is removed: a new file gets the mode ``open(path, "w")`` gives, an existing one
-    keeps its mode and a symlink stays a link. A target that is no regular file, such as a
-    FIFO or ``/dev/stdout``, is written in place."""
-    encoded = map(_utf8, pieces)
-    data = chain((next(encoded, b""),), encoded)  # the first piece before any file is touched
-    mode = os.stat(path).st_mode if os.path.exists(path) else None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as handle:
-            deque(map(handle.write, data), maxlen=0)
-        return
-    target = os.path.realpath(path)
-    temp = os.path.join(os.path.dirname(target), f".citnorm-{os.urandom(8).hex()}.tmp")
-    try:  # a new file, 0o666 less the umask as for open(path, "w")
-        handle = open(temp, "xb")
-    except OSError as exc:  # name the target, not the temporary file
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with handle:
-            if mode is not None:
-                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
-            deque(map(handle.write, data), maxlen=0)
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise

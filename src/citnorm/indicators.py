@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .baseline import (BaselineTable, _csv_int, _csv_real, _csv_rows, _csv_text, _expected,
-                       expected_citations)
-from .corpus import Corpus, Publication, _write_text
+from ._files import INDICATOR_NAMES, _csv_int, _csv_real, _csv_rows, _csv_text, _write_text
+from .baseline import BaselineTable, _expected, expected_citations
 from .errors import ValidationError
 
-INDICATOR_NAMES = ("cpp_fcsm", "mncs1", "mncs2")
+if TYPE_CHECKING:
+    from .corpus import Corpus, Publication
 
 _SCORES_HEADER = [
     "unit_id", "n_total", "n_mncs2", "n_excluded_zero_e", "cpp_fcsm", "mncs1", "mncs2",
@@ -259,13 +259,6 @@ def find_cpp_fcsm_consistency_counterexample(search_bound: int) -> ConsistencyWi
                                     after=((c_a + c_x) / (e_a + e_x), (c_b + c_x) / (e_b + e_x)),
                                 )
     return None
-
-
-def format_value(value: float | None, decimals: int = 4) -> str:
-    """Render an indicator value for CSV output (None prints as NA)."""
-    if value is None:
-        return "NA"
-    return f"{value:.{decimals}f}"
 
 
 def write_scores(scores: Sequence[UnitScore], path: str | Path) -> None:

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import _csv_text
-from .corpus import _write_text
+from ._files import INDICATOR_NAMES, _csv_text, _write_text, format_value
 from .errors import ValidationError
-from .indicators import INDICATOR_NAMES, UnitScore, format_value, rank_units
+from .indicators import UnitScore, rank_units
 
 CANVAS = 800
 MARGIN = 40

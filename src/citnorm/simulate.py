@@ -47,7 +47,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import corpus
-from .corpus import _COLUMNS, _MAX_CITATIONS, Corpus, _gc_paused
+from ._files import _MAX_CITATIONS, _write_text
+from .corpus import _COLUMNS, Corpus, _gc_paused
 from .errors import ValidationError
 
 # Shape stream seed; independent of config.seed by design (see module docs).
@@ -264,7 +265,7 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
 def write_simulated(config: SimulationConfig, path: str | Path) -> None:
     """``write_corpus(generate_corpus(config), path)``, drawn and written a block at a time."""
     records = (r for block in _drawn_blocks(config) for r in zip(*block))
-    corpus._write_text(path, corpus._jsonl_pieces(config.census_year, records))
+    _write_text(path, corpus._jsonl_pieces(config.census_year, records))
 
 
 def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> np.ndarray:

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .baseline import _csv_text
-from .corpus import Corpus, Publication, _write_text, select_cohort
+from ._files import _csv_text, _write_text, format_value
+from .corpus import Corpus, Publication, select_cohort
 from .errors import ValidationError
-from .indicators import UnitScore, format_value
+
+if TYPE_CHECKING:
+    from .indicators import UnitScore
 
 _INDICATOR_PAIRS = (
     ("cpp_fcsm", "mncs1"),

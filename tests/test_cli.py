@@ -510,27 +510,45 @@ def test_census_inferring_run_reads_each_line_once(workdir, tmp_path, monkeypatc
     assert sum(map(len, decoded)) == len(lines)
 
 
-def test_numpy_free_commands_do_not_import_numpy(workdir, tmp_path):
-    corpus = str(workdir / "corpus.jsonl")
+def test_each_command_loads_only_the_modules_it_runs(workdir, tmp_path):
+    # the citnorm modules each command loads, as an equal set, so that a library import
+    # added at the top of a module shows up here; only simulate loads numpy
+    corpus, config = str(workdir / "corpus.jsonl"), str(workdir / "config.json")
     baselines, scores = str(tmp_path / "baselines.csv"), str(tmp_path / "scores.csv")
     commands = [
-        ["--help"],
-        ["trajectory", "--corpus", corpus, "--census", "2009", "--field", "slow",
-         "--pub-year", "2003", "--out", str(tmp_path / "trajectory.csv")],
-        ["baselines", "--corpus", corpus, "--census", "2009", "--out", baselines],
-        ["score", "--corpus", corpus, "--census", "2009", "--units", "all",
-         "--baselines", baselines, "--out", scores],
-        ["plot", "--scores", scores, "--x", "cpp_fcsm", "--y", "mncs1",
-         "--out", str(tmp_path / "scatter.svg")],
-        ["rank", "--scores", scores, "--by", "mncs2", "--top", "2"],
-        ["correlate", "--scores", scores, "--out", str(tmp_path / "correlations.csv")],
-        ["age-corr", "--corpus", corpus, "--field", "slow", "--pub-year", "2003",
-         "--out", str(tmp_path / "age.csv")],
+        (["--help"], set()),
+        (["simulate", "--config", config, "--out", str(tmp_path / "corpus.jsonl")],
+         {"corpus", "simulate"}),
+        (["baselines", "--corpus", corpus, "--census", "2009", "--out", baselines],
+         {"corpus", "baseline"}),
+        (["score", "--corpus", corpus, "--census", "2009", "--units", "all",
+          "--baselines", baselines, "--out", scores], {"corpus", "baseline", "indicators"}),
+        (["trajectory", "--corpus", corpus, "--census", "2009", "--field", "slow",
+          "--pub-year", "2003", "--out", str(tmp_path / "trajectory.csv")], {"corpus", "stats"}),
+        (["age-corr", "--corpus", corpus, "--field", "slow", "--pub-year", "2003",
+          "--out", str(tmp_path / "age.csv")], {"corpus", "stats"}),
+        (["rank", "--scores", scores, "--by", "mncs2", "--top", "2"],
+         {"baseline", "indicators", "report"}),
+        (["plot", "--scores", scores, "--x", "cpp_fcsm", "--y", "mncs1",
+          "--out", str(tmp_path / "scatter.svg")], {"baseline", "indicators", "report"}),
+        (["correlate", "--scores", scores, "--out", str(tmp_path / "correlations.csv")],
+         {"baseline", "indicators", "corpus", "stats"}),
     ]
-    for argv in commands:
+    for argv, modules in commands:
         imported = _imported_modules(argv)
-        assert "citnorm.cli" in imported
-        assert "numpy" not in imported, f"{argv[0]} imported numpy"
+        assert {m for m in imported if m.split(".")[0] == "citnorm"} == {
+            "citnorm", "citnorm.cli", "citnorm.errors", "citnorm._files",
+            *(f"citnorm.{m}" for m in modules)}, argv[0]
+        assert ("numpy" in imported) == (argv[0] == "simulate"), f"{argv[0]} and numpy"
+
+
+def test_the_parser_lists_the_indicator_names_defined_once():
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    choices = [action.choices
+               for name, option in (("plot", "--x"), ("plot", "--y"), ("rank", "--by"))
+               for action in commands[name]._actions if option in action.option_strings]
+    assert len(choices) == 3 and all(names is INDICATOR_NAMES for names in choices)
 
 
 # ``python -m citnorm`` that lists sys.modules on stderr at exit: unlike -X importtime, this
