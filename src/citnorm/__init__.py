@@ -24,7 +24,8 @@ _EXPORTS = {
                  "write_simulated"),
     "stats": ("AgeCorrelationMatrix", "CorrelationReport", "PairCorrelation", "Trajectory",
               "age_correlation_matrix", "correlate_indicators", "field_cohort", "pearson",
-              "spearman", "trajectory"),
+              "spearman", "trajectory", "write_age_matrix", "write_correlation_report",
+              "write_trajectory"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import citnorm
+
 from ._files import INDICATOR_NAMES
 from .errors import ValidationError
 
@@ -90,64 +92,54 @@ def _build_parser() -> _Parser:
 
 
 def _load_corpus(args):
-    from . import corpus
-    return corpus.parse_corpus(args.corpus, census_year=args.census)
+    return citnorm.parse_corpus(args.corpus, census_year=args.census)
 
 
 def _run(args) -> None:
-    # each command imports only the modules it calls: a run compiles and loads no other
     if args.command == "baselines":
-        from . import baseline
-        table = baseline.compute_baselines(_load_corpus(args))
-        baseline.write_baselines(table, args.out)
+        table = citnorm.compute_baselines(_load_corpus(args))
+        citnorm.write_baselines(table, args.out)
 
     elif args.command == "score":
-        from . import baseline, indicators
         data = _load_corpus(args)
         if args.baselines is not None:
-            table = baseline.read_baselines(args.baselines)
+            table = citnorm.read_baselines(args.baselines)
         else:
-            table = baseline.compute_baselines(data)
+            table = citnorm.compute_baselines(data)
         unit_ids = None if args.units == "all" else [
             u for u in args.units.split(",") if u
         ]
         if unit_ids is not None and not unit_ids:
             raise ValidationError("--units got an empty list")
-        scores = indicators.score_units(data, table, unit_ids)
-        indicators.write_scores(scores, args.out)
+        scores = citnorm.score_units(data, table, unit_ids)
+        citnorm.write_scores(scores, args.out)
 
     elif args.command == "correlate":
-        from . import indicators, stats
-        scores = indicators.read_scores(args.scores)
-        report_ = stats.correlate_indicators(scores, min_pubs=args.min_pubs)
-        stats.write_correlation_report(report_, args.out)
+        scores = citnorm.read_scores(args.scores)
+        report = citnorm.correlate_indicators(scores, min_pubs=args.min_pubs)
+        citnorm.write_correlation_report(report, args.out)
 
     elif args.command == "trajectory":
-        from . import stats
-        traj = stats.trajectory(_load_corpus(args), args.field, args.pub_year)
-        stats.write_trajectory(traj, args.out)
+        traj = citnorm.trajectory(_load_corpus(args), args.field, args.pub_year)
+        citnorm.write_trajectory(traj, args.out)
 
     elif args.command == "age-corr":
-        from . import stats
-        cohort = stats.field_cohort(_load_corpus(args), args.field, args.pub_year)
-        stats.write_age_matrix(stats.age_correlation_matrix(cohort), args.out)
+        cohort = citnorm.field_cohort(_load_corpus(args), args.field, args.pub_year)
+        citnorm.write_age_matrix(citnorm.age_correlation_matrix(cohort), args.out)
 
     elif args.command == "simulate":
-        from . import simulate
-        simulate.write_simulated(simulate.load_config(args.config), args.out)
+        citnorm.write_simulated(citnorm.load_config(args.config), args.out)
 
     elif args.command == "plot":
-        from . import indicators, report
-        scores = indicators.read_scores(args.scores)
-        spec = report.ScatterSpec(x_indicator=args.x, y_indicator=args.y,
-                                  threshold=args.threshold, axis_max=args.axis_max)
-        report.write_scatter(scores, spec, args.out)
+        scores = citnorm.read_scores(args.scores)
+        spec = citnorm.ScatterSpec(x_indicator=args.x, y_indicator=args.y,
+                                   threshold=args.threshold, axis_max=args.axis_max)
+        citnorm.write_scatter(scores, spec, args.out)
 
     elif args.command == "rank":
-        from . import indicators, report
-        scores = indicators.read_scores(args.scores)
+        scores = citnorm.read_scores(args.scores)
         try:  # the stream encodes the whole text before it writes any of it
-            sys.stdout.write(report.render_ranking(scores, by=args.by, top=args.top))
+            sys.stdout.write(citnorm.render_ranking(scores, by=args.by, top=args.top))
         except UnicodeEncodeError as exc:
             raise ValidationError(
                 f"cannot write {exc.object[exc.start]!r} to stdout as {exc.encoding}") from None

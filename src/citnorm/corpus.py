@@ -37,9 +37,9 @@ the census year is known (when not given, the largest year the records carry),
 A :class:`Corpus` holds one column per fact, in the order above, not one object per
 record. :class:`Publication` objects are built from the columns only where a caller
 asks for them, each ``citations_by_year`` a read-only :class:`CitationsByYear` over its row.
-That build, :func:`parse_corpus` and the simulator run with the cyclic collector paused, and
-leave their records in its oldest generation; on CPython 3.12 they only pause, as the immortal
-objects its collections move to the permanent generation count as a freeze.
+That build, :func:`parse_corpus` and the simulator's ``generate_corpus`` pause the cyclic
+collector and leave their records in its oldest generation; on CPython 3.12 they only pause,
+as the immortal objects its collections move to the permanent generation count as a freeze.
 
 Every file citnorm writes goes through :func:`_files._write_text`, whole or not at all, as text
 pieces: a corpus as pieces of ``_CHUNK_LINES`` lines, so no write holds its whole text. An id

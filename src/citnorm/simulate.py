@@ -46,9 +46,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import corpus
 from ._files import _MAX_CITATIONS, _write_text
-from .corpus import _COLUMNS, Corpus, _gc_paused
+from .corpus import _COLUMNS, Corpus, _gc_paused, _jsonl_pieces
 from .errors import ValidationError
 
 # Shape stream seed; independent of config.seed by design (see module docs).
@@ -261,11 +260,10 @@ def generate_corpus(config: SimulationConfig) -> Corpus:
     return Corpus._from_columns(config.census_year, *(tuple(columns.pop(0)) for _ in _COLUMNS))
 
 
-@_gc_paused()
 def write_simulated(config: SimulationConfig, path: str | Path) -> None:
     """``write_corpus(generate_corpus(config), path)``, drawn and written a block at a time."""
     records = (r for block in _drawn_blocks(config) for r in zip(*block))
-    _write_text(path, corpus._jsonl_pieces(config.census_year, records))
+    _write_text(path, _jsonl_pieces(config.census_year, records))
 
 
 def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> np.ndarray:

@@ -613,6 +613,13 @@ def test_each_command_calls_only_public_library_names():
         "import sys\ncorpus._b(sys._getframe(), r._c, r.d)\nargs._e") == {"_a", "_b", "_c"}
     source = Path(cli_module.__file__).read_text(encoding="utf-8")
     assert private_citnorm_names(source) == set()
+    # every import is at module level, and the library is reached through the package's names
+    tree, statement = ast.parse(source), (ast.Import, ast.ImportFrom)
+    assert ([ast.unparse(n) for n in ast.walk(tree) if isinstance(n, statement)]
+            == [ast.unparse(n) for n in tree.body if isinstance(n, statement)]
+            == ["from __future__ import annotations", "import argparse", "import sys",
+                "import citnorm", "from ._files import INDICATOR_NAMES",
+                "from .errors import ValidationError"])
 
 
 def test_deeply_nested_config_is_one_line_error(tmp_path, capsys):

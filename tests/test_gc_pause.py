@@ -1,10 +1,11 @@
 """The corpus builders run with the cyclic collector paused, restore it afterwards, and leave
 what they built in the oldest generation.
 
-``parse_corpus``, ``generate_corpus``, a corpus's first ``publications`` and ``citnorm
-simulate``'s streamed draw-and-write build one or more containers per record and no
-reference cycle. Each is checked on a 5,000-record corpus, enough allocations for several
-young-generation collections had the collector been running.
+``parse_corpus``, ``generate_corpus`` and a corpus's first ``publications`` build one or more
+containers per record and no reference cycle. Each is checked on a 5,000-record corpus, enough
+allocations for several young-generation collections had the collector been running. The
+streamed ``write_simulated`` keeps no record once its lines are written, so it has nothing to
+pause for and nothing to promote, and runs with the collector as the caller left it.
 
 With the collector on and nothing frozen, a builder first collects the young generations, so
 the caller's young objects are scanned as they would have been, and a build that returns then
@@ -17,42 +18,28 @@ so the tests of the promotion unfreeze them first.
 from __future__ import annotations
 
 import gc
-import json
 import sys
 import weakref
-from itertools import chain
 
 import pytest
 
 from citnorm import corpus
-from citnorm.cli import main
 from citnorm.corpus import parse_corpus, write_corpus
 from citnorm.errors import ValidationError
 from citnorm.simulate import config_from_dict, generate_corpus
 
 # each builder, and the function whose frame is on the stack while it builds: ``publications``
-# builds its tuple in _materialize, and caches it once the collector is back on; the CLI's
-# simulate draws each block as _write_text pulls its next piece of text
+# builds its tuple in _materialize, and caches it once the collector is back on
 BUILDERS = {"parse_corpus": "parse_corpus", "generate_corpus": "generate_corpus",
-            "publications": "_materialize", "cli_simulate": "_write_text"}
-
-
-def config_dict(rate=2.0, quality=1.4):
-    return {"fields": [{"field_id": "f1", "rate": rate}, {"field_id": "f2", "rate": 0.5}],
-            "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 3000},
-                      {"unit_id": "u2", "quality": quality, "n_pubs": 2000}],
-            "first_year": 2000, "census_year": 2009, "seed": 5}
+            "publications": "_materialize"}
 
 
 def make_config(rate=2.0):
-    return config_from_dict(config_dict(rate))
-
-
-def simulate_cli(tmp_path, config: dict) -> int:
-    """``citnorm simulate`` of ``config`` to ``corpus.jsonl`` in ``tmp_path``, in-process."""
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    return main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "corpus.jsonl")])
+    return config_from_dict({
+        "fields": [{"field_id": "f1", "rate": rate}, {"field_id": "f2", "rate": 0.5}],
+        "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 3000},
+                  {"unit_id": "u2", "quality": 1.4, "n_pubs": 2000}],
+        "first_year": 2000, "census_year": 2009, "seed": 5})
 
 
 @pytest.fixture(scope="module")
@@ -63,32 +50,24 @@ def corpus_file(tmp_path_factory):
 
 
 @pytest.fixture
-def build(request, corpus_file, tmp_path):
-    """The builder named by the test's parameter, as a call of no arguments, its input ready;
-    the CLI's simulate gives the lines it wrote."""
+def build(request, corpus_file):
+    """The builder named by the test's parameter, as a call of no arguments, its input ready."""
     config = make_config()
     fresh = generate_corpus(config)  # its publications not built yet
-
-    def cli_simulate():
-        assert simulate_cli(tmp_path, config_dict()) == 0
-        return (tmp_path / "corpus.jsonl").read_bytes().splitlines()
-
     return {"parse_corpus": lambda: parse_corpus(corpus_file),
             "generate_corpus": lambda: generate_corpus(config),
-            "publications": lambda: fresh.publications,
-            "cli_simulate": cli_simulate}[request.param]
+            "publications": lambda: fresh.publications}[request.param]
 
 
 def oldest_generation() -> set[int]:
     return {id(o) for o in gc.get_objects(generation=2)}
 
 
-# for each builder, objects it made that outlive it: a by-year row and its column, the
-# publication tuple and a publication, or a record the CLI's simulate drew and a test kept
-KEPT = {"parse_corpus": lambda built, drawn: (built.by_year, built.by_year[0]),
-        "generate_corpus": lambda built, drawn: (built.by_year, built.by_year[0]),
-        "publications": lambda built, drawn: (built, built[0]),
-        "cli_simulate": lambda built, drawn: (drawn[0], drawn[0][6])}
+# for each builder, objects it made that outlive it: a by-year row and its column, or the
+# publication tuple and a publication
+KEPT = {"parse_corpus": lambda built: (built.by_year, built.by_year[0]),
+        "generate_corpus": lambda built: (built.by_year, built.by_year[0]),
+        "publications": lambda built: (built, built[0])}
 
 
 class Node:
@@ -148,27 +127,10 @@ def test_a_failed_draw_leaves_the_collector_on():
     assert id(raised.value) not in oldest_generation()
 
 
-def test_a_failed_streamed_draw_leaves_the_collector_on(tmp_path, capsys):
-    gc.unfreeze()
-    # u2's totals exceed 2**53 - 1, found after the first pieces of u1's lines are written
-    assert simulate_cli(tmp_path, config_dict(quality=1e17)) == 1
-    assert capsys.readouterr().err.startswith("error: publication 00003000: ")
-    assert gc.isenabled() and gc.get_freeze_count() == 0
-
-
 @pytest.mark.parametrize("build, kept", KEPT.items(), indirect=["build"], ids=list(KEPT))
-def test_a_build_leaves_its_records_in_the_oldest_generation(build, kept, monkeypatch):
-    drawn = []
-    pieces = corpus._jsonl_pieces
-
-    def keep_first(census_year, records):  # the CLI's simulate holds no record once written
-        records = iter(records)
-        drawn.append(next(records))
-        return pieces(census_year, chain(drawn, records))
-
-    monkeypatch.setattr(corpus, "_jsonl_pieces", keep_first)
+def test_a_build_leaves_its_records_in_the_oldest_generation(build, kept):
     gc.unfreeze()  # see the module docstring
-    records = kept(build(), drawn)
+    records = kept(build())
     oldest, young = oldest_generation(), {id(o) for o in gc.get_objects(generation=0)}
     assert [id(o) in oldest for o in records] == [True, True]
     assert [id(o) in young for o in records] == [False, False]

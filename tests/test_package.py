@@ -19,8 +19,9 @@ PUBLIC_NAMES = [
     "find_cpp_fcsm_consistency_counterexample", "generate_corpus", "load_config", "mncs",
     "normalized_score", "parse_corpus", "pearson", "rank_units", "read_baselines", "read_scores",
     "render_ranking", "render_scatter", "score_publication", "score_unit", "score_units",
-    "select_cohort", "select_unit", "spearman", "trajectory", "write_baselines", "write_corpus",
-    "write_scatter", "write_scores", "write_simulated",
+    "select_cohort", "select_unit", "spearman", "trajectory", "write_age_matrix",
+    "write_baselines", "write_corpus", "write_correlation_report", "write_scatter",
+    "write_scores", "write_simulated", "write_trajectory",
 ]
 SIMULATE_NAMES = {"FieldSpec", "SimulationConfig", "UnitSpec", "generate_corpus", "load_config",
                   "write_simulated"}
