@@ -14,6 +14,7 @@ consequences of e = 0 are handled by the indicator layer.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -63,17 +64,23 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
     A multi-field publication contributes its full citation count to every one
     of its fields' cells (whole counting). Cell sums are exact integers,
     divided once, so a cell's mean depends only on its members. Reads the
-    corpus's columns: no publication is built.
+    corpus's columns: no publication is built. Citations are summed once per
+    (field list, year), and each of those sums and counts is then spread to its
+    fields' cells, which come in the order the publications first reach them.
     """
     if len(corpus) == 0:
         raise ValidationError("cannot compute baselines over an empty corpus")
+    counts = Counter(zip(corpus.fields, corpus.pub_years))
+    key_sums = dict.fromkeys(counts, 0)
+    for key, total in zip(zip(corpus.fields, corpus.pub_years), corpus.totals):
+        key_sums[key] += total
     sums: dict[tuple[str, int], int] = {}
     sizes: dict[tuple[str, int], int] = {}
-    for field_ids, year, total in zip(corpus.fields, corpus.pub_years, corpus.totals):
+    for (field_ids, year), count, total in zip(counts, counts.values(), key_sums.values()):
         for fid in field_ids:
             key = (fid, year)
             sums[key] = sums.get(key, 0) + total
-            sizes[key] = sizes.get(key, 0) + 1
+            sizes[key] = sizes.get(key, 0) + count
     cells = {
         key: BaselineCell(mean_citations=sums[key] / sizes[key], cell_size=sizes[key])
         for key in sums

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import truediv
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -99,7 +100,8 @@ def _ratio_of_sums(cs: Sequence[int], es: Sequence[float]) -> float | None:
 
 def _mean_ratio(cs: Sequence[int], es: Sequence[float]) -> MncsResult:
     """Mean of c/e over the pairs with e != 0; None when there is none."""
-    ratios = [c / e for c, e in zip(cs, es) if e != 0]
+    ratios = (list(map(truediv, cs, es)) if 0 not in es
+              else [c / e for c, e in zip(cs, es) if e != 0])
     value = math.fsum(ratios) / len(ratios) if ratios else None
     return MncsResult(value=value, n_used=len(ratios), n_excluded_zero_e=len(cs) - len(ratios))
 
@@ -144,10 +146,12 @@ def score_units(
     """Score several units (all corpus units when ``unit_ids`` is None).
 
     One score per distinct requested unit, ascending by id. A single pass over
-    the corpus's columns in id order finds each publication's requested units
-    (a repeated unit counts once) and looks up its expected count once per
-    distinct (fields, year); each unit's sums are then :func:`math.fsum` over
-    its publications. Cost is corpus size plus unit memberships, no
+    the corpus's columns in id order credits each publication to its requested
+    units (a repeated unit counts once) and looks up its expected count once per
+    distinct (fields, year); credit is kept per distinct unit list, as the
+    ``append`` methods of its credited units' member lists, so a publication
+    costs one lookup of its list. Each unit's sums are then :func:`math.fsum`
+    over its publications. Cost is corpus size plus unit memberships, no
     publication is built, and other units' publications are never looked up.
     """
     if isinstance(unit_ids, str):
@@ -156,17 +160,21 @@ def score_units(
     expected: dict[tuple[tuple[str, ...], int], float] = {}
     es: list[float] = [0.0] * len(corpus)
     members: dict[str, list[int]] = {}
+    credit: dict[tuple[str, ...], list] = {}  # unit list -> appends of its credited units
     for i, (units, fields, year) in enumerate(zip(corpus.units, corpus.fields,
                                                   corpus.pub_years)):
-        credited = set(units) if wanted is None else wanted.intersection(units)
-        if not credited:
+        appends = credit.get(units)
+        if appends is None:
+            credited = set(units) if wanted is None else wanted.intersection(units)
+            appends = credit[units] = [members.setdefault(uid, []).append for uid in credited]
+        if not appends:
             continue
         e = expected.get((fields, year))
         if e is None:
             e = expected[(fields, year)] = _expected(table, fields, year)
         es[i] = e
-        for uid in credited:
-            members.setdefault(uid, []).append(i)
+        for append in appends:
+            append(i)
     totals, years, last_full_year = corpus.totals, corpus.pub_years, corpus.census_year - 1
     scores = []
     for uid in sorted(members) if wanted is None else sorted(wanted):

@@ -25,9 +25,11 @@ Every fact a :class:`~citnorm.corpus.Publication` and a
 once on the drawn arrays, so the corpus's columns are filled without
 re-checking each record, and no ``Publication`` is built: years come from the
 configured span, by-year counts run from the publication year to the census
-year and end at the total, ids are zero-padded serials in increasing order,
-and the increments are checked to be non-negative and their totals to stay
-within 2**53 - 1. One loop, ``_drawn_blocks``, draws ``_BLOCK_PUBS`` publications at a time,
+year and end at the total, ids are zero-padded serials in increasing order (one
+padded prefix per thousand serials, joined to each of the 1,000 three-digit
+tails), and the increments are checked to be non-negative and their totals to
+stay within 2**53 - 1 (for a block whose largest increment times its years is
+within that bound, two reductions suffice). One loop, ``_drawn_blocks``, draws ``_BLOCK_PUBS`` publications at a time,
 which bounds peak memory: :func:`generate_corpus` gathers the blocks, :func:`write_simulated`
 writes each as it is drawn. Poisson takes its means in row order, one by one, and nothing
 from the stream for a zero mean, so the corpus is the one a single draw per unit gives,
@@ -40,7 +42,6 @@ import json
 import math
 import sys
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -55,6 +56,7 @@ _SHAPE_SEED = 0x5EED5
 _MAX_FLOAT = sys.float_info.max  # unlike math.isfinite, comparing an int with it cannot overflow
 # Publications per block of draws: its (publications, years) arrays set peak memory.
 _BLOCK_PUBS = 2048
+_TAILS = [f"{i:03d}" for i in range(1000)]  # the last three digits of an id
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,14 +190,35 @@ def load_config(path: str | Path) -> SimulationConfig:
     return config_from_dict(obj)
 
 
+def _ids(start: int, stop: int, width: int) -> list[str]:
+    """``[str(i).zfill(width) for i in range(start, stop)]`` for ``width`` >= 4: one
+    zero-padded prefix per thousand serials, joined to each of its three-digit tails."""
+    ids: list[str] = []
+    for thousand in range(start // 1000, (stop - 1) // 1000 + 1):
+        base = thousand * 1000
+        tails = _TAILS[max(start - base, 0):min(stop - base, 1000)]
+        ids.extend(map(str(thousand).zfill(width - 3).__add__, tails))
+    return ids
+
+
 def _drawn_blocks(config: SimulationConfig) -> Iterator[tuple[Iterable, ...]]:
     """The publications of ``config``'s corpus in id order, ``_BLOCK_PUBS`` or fewer at a time,
-    each block as its columns in ``_COLUMNS`` order, each column to be read once."""
+    each block as its columns in ``_COLUMNS`` order, each column to be read once.
+
+    Ids come from :func:`_ids`. A publication ``p`` years after ``first_year`` reads row
+    ``p`` of two (years x years) tables built once per config: its Poisson means are its
+    lambda times the weight row, and its counts are its cumulative draws over the years
+    the mask row keeps, its publication year to the census year, the last its total.
+    """
     shape_rng = np.random.default_rng(_SHAPE_SEED)
     count_rng = np.random.default_rng(config.seed)
     first, census = config.first_year, config.census_year
-    year_grid = np.arange(first, census + 1)
     year_objects = {year: year for year in range(first, census + 1)}  # one int per year
+    span = census + 1 - first
+    grid = np.arange(span)
+    # the weights: 0 before a publication's year (so Poisson draws 0), damped in it, 1 after
+    after, same = grid > grid[:, None], grid == grid[:, None]
+    weights, counted = after + config.same_year_damping * same, after | same
     rates = np.array([f.rate for f in config.fields], dtype=float)
     field_ids = [(f.field_id,) for f in config.fields]
     if config.dispersion > 0:
@@ -218,22 +241,21 @@ def _drawn_blocks(config: SimulationConfig) -> Iterator[tuple[Iterable, ...]]:
                 lam = rates[field_idx] * unit.quality * g  # (n,)
             if not np.isfinite(lam).all():
                 raise ValueError("lam value is not finite")
+            year_offsets = pub_years - first
             for start in range(0, n, _BLOCK_PUBS):
                 block = slice(start, min(n, start + _BLOCK_PUBS))
-                ids = [str(i).zfill(width) for i in range(drawn + block.start, drawn + block.stop)]
-                block_years = pub_years[block, None]
-                # Per-year means: 0 before the pub year, damped in it, lambda after.
-                after, same = year_grid > block_years, year_grid == block_years
-                mean = lam[block, None] * (after + config.same_year_damping * same)
-                increments = count_rng.poisson(mean)  # Poisson(0) == 0 before pub year
+                ids = _ids(drawn + block.start, drawn + block.stop, width)
+                offsets = year_offsets[block]
+                increments = count_rng.poisson(lam[block, None] * weights[offsets])
+                cumulative = _checked_cumsum(increments, ids, first)
                 # every row from its publication year to the census year, row after row
-                ragged = tuple(_checked_cumsum(increments, ids, first)[after | same].tolist())
-                ends = np.cumsum(census + 1 - block_years[:, 0]).tolist()
+                ragged = tuple(cumulative[counted[offsets]].tolist())
+                ends = np.cumsum(span - offsets).tolist()
                 rows = list(map(ragged.__getitem__, map(slice, [0, *ends[:-1]], ends)))
                 yield (ids, repeat(unit_ids, len(ids)),
                        map(field_ids.__getitem__, field_idx[block].tolist()),
                        map(year_objects.__getitem__, pub_years[block].tolist()),
-                       repeat("article", len(ids)), map(itemgetter(-1), rows), rows)
+                       repeat("article", len(ids)), cumulative[:, -1].tolist(), rows)
         except ValidationError:
             raise
         except (ValueError, MemoryError) as exc:
@@ -271,7 +293,15 @@ def _checked_cumsum(increments: np.ndarray, ids: list[str], first_year: int) -> 
 
     No increment may be negative, and each row's total must stay within
     2**53 - 1; the faults name the first offending publication (row order).
+    A block whose smallest increment is >= 0 and whose largest, times its number of
+    years, is within 2**53 - 1 returns after those two reductions, as the checks could
+    find nothing in it: no increment is negative, and no row, a sum of that many
+    increments, totals more than that product, so none exceeds the bound or wraps.
+    Every other block runs the full checks.
     """
+    if (increments.min() >= 0
+            and int(increments.max()) * increments.shape[1] <= _MAX_CITATIONS):
+        return increments.cumsum(axis=1)
     negative = increments < 0
     if negative.any():
         row, col = np.argwhere(negative)[0].tolist()

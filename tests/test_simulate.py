@@ -4,8 +4,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import re
+import runpy
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,19 +147,43 @@ STRADDLING = SimulationConfig(
 )
 
 
-def test_units_larger_than_a_block_simulate_the_pinned_corpus(tmp_path):
-    # the digest of this config's JSON Lines text as the simulator wrote it when it drew
-    # each unit's citations in one call, before it drew them in blocks; the streamed
-    # writer, which never holds the corpus, writes the same bytes
+# the compare roster: scripts/compare_indicators.py's 158 research groups, 20,917 publications
+COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_indicators.py"
+
+
+@pytest.mark.parametrize("config, length, digest", [
+    # the digest of STRADDLING's JSON Lines text as the simulator wrote it when it drew
+    # each unit's citations in one call, before it drew them in blocks
+    pytest.param(lambda: STRADDLING, 1_316_794,
+                 "2fec0c0eeeb21143a3f6af35e8ffc8a525e22baee879fbba342cbf3037ccbdcc",
+                 id="straddling"),
+    # many units of 50 to 210 publications, each its own short block, as drawn before
+    # the ids were built per thousand and the means read from one weight table
+    pytest.param(lambda: runpy.run_path(str(COMPARE_SCRIPT))["build_config"](0, 158),
+                 4_065_732, "b8632b457abd723991160e6ac998b7c35dc1146c1df01742f43fcc0f9d7fb052",
+                 id="compare-roster"),
+])
+def test_units_larger_than_a_block_simulate_the_pinned_corpus(tmp_path, config, length, digest):
+    # the streamed writer, which never holds the corpus, writes the same bytes
     assert simulate_module._BLOCK_PUBS == 2048
-    digest = "2fec0c0eeeb21143a3f6af35e8ffc8a525e22baee879fbba342cbf3037ccbdcc"
-    text = corpus_to_jsonl(generate_corpus(STRADDLING))
-    assert len(text) == 1_316_794
+    config = config()
+    text = corpus_to_jsonl(generate_corpus(config))
+    assert len(text) == length
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    write_simulated(STRADDLING, tmp_path / "corpus.jsonl")
+    write_simulated(config, tmp_path / "corpus.jsonl")
     written = (tmp_path / "corpus.jsonl").read_bytes()
-    assert len(written) == 1_316_794
+    assert len(written) == length
     assert hashlib.sha256(written).hexdigest() == digest
+
+
+@pytest.mark.parametrize("start, stop", [
+    (0, 1), (995, 2_005), (999_990, 1_000_010), (0, 2_048), (123_456_789, 123_456_790),
+])
+@pytest.mark.parametrize("width", [8, 9])
+def test_ids_are_the_zero_padded_serials(start, stop, width):
+    # only a corpus of more than 10**8 publications reaches width 9
+    assert simulate_module._ids(start, stop, width) == [
+        str(i).zfill(width) for i in range(start, stop)]
 
 
 @pytest.mark.parametrize("block", [1, 7, 16])
@@ -267,6 +293,40 @@ class TestBulkChecks:
         with pytest.raises(ValidationError,
                            match=r"^publication 00000000: citations_total exceeds 2\*\*53 - 1$"):
             generate_corpus(config)
+
+    class Compared(np.ndarray):
+        """An array that notes whether it was compared, as only the full checks compare."""
+
+        compared = False
+
+        def __lt__(self, other):
+            type(self).compared = True
+            return super().__lt__(other)
+
+    def checked(self, monkeypatch, rows):
+        monkeypatch.setattr(self.Compared, "compared", False)
+        increments = np.array(rows, dtype=np.int64).view(self.Compared)
+        cumulative = simulate_module._checked_cumsum(increments, ["p0", "p1"], 2000)
+        assert np.array_equal(cumulative, np.array(rows, dtype=np.int64).cumsum(axis=1))
+        return cumulative[:, -1].tolist(), self.Compared.compared
+
+    def test_a_block_at_the_bound_takes_the_quick_return(self, monkeypatch):
+        # 2**53 - 1 = 6,361 * 1,416,003,655,831: the largest increment times the years
+        rows = [[1_416_003_655_831] * 6_361, [0] * 6_361]
+        assert self.checked(monkeypatch, rows) == ([2 ** 53 - 1, 0], False)
+
+    def test_a_larger_increment_within_the_bound_passes_the_full_checks(self, monkeypatch):
+        rows = [[2 ** 52, 0, 0, 2 ** 52 - 1], [1, 1, 1, 1]]
+        assert self.checked(monkeypatch, rows) == ([2 ** 53 - 1, 4], True)
+
+    @pytest.mark.parametrize("rows, fault", [
+        ([[1, 1, 1, 1], [2 ** 52, 0, 0, 2 ** 52]],
+         r"^publication p1: citations_total exceeds 2\*\*53 - 1$"),
+        ([[0, 0, 0, 0], [0, 3, -1, 0]], r"^publication p1: non-monotone citations_by_year at 2002$"),
+    ], ids=["total", "negative"])
+    def test_a_row_at_2_53_or_a_negative_increment_is_named(self, monkeypatch, rows, fault):
+        with pytest.raises(ValidationError, match=fault):
+            self.checked(monkeypatch, rows)
 
     def test_negative_increment_is_rejected(self, monkeypatch):
         default_rng = np.random.default_rng
