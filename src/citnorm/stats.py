@@ -17,11 +17,14 @@ from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+# the corpus names load on first use, through the export table: correlate needs no corpus reader
+import citnorm
+
 from ._files import _csv_text, _write_text, format_value
-from .corpus import Corpus, Publication, select_cohort
 from .errors import ValidationError
 
 if TYPE_CHECKING:
+    from .corpus import Corpus, Publication
     from .indicators import UnitScore
 
 _INDICATOR_PAIRS = (
@@ -157,16 +160,16 @@ class AgeCorrelationMatrix:
 def _as_corpus(pubs: Corpus | Iterable[Publication]) -> Corpus:
     """``pubs`` itself if a corpus, else the corpus over them whose census year is the
     largest year they carry."""
-    if isinstance(pubs, Corpus):
+    if isinstance(pubs, citnorm.Corpus):
         return pubs
     pubs = tuple(pubs)  # an iterator is read once, here, not once for the years and again below
     keys = [max(pub.citations_by_year) for pub in pubs if pub.citations_by_year]
-    return Corpus(pubs, census_year=max([pub.pub_year for pub in pubs] + keys, default=0))
+    return citnorm.Corpus(pubs, census_year=max([pub.pub_year for pub in pubs] + keys, default=0))
 
 
 def field_cohort(pubs: Corpus | Iterable[Publication], field_id: str, pub_year: int) -> Corpus:
     """The publications of ``pubs`` in one field and year, of which there must be some."""
-    cohort = select_cohort(_as_corpus(pubs), field_id, pub_year)
+    cohort = citnorm.select_cohort(_as_corpus(pubs), field_id, pub_year)
     if not cohort:
         raise ValidationError(f"no publications in field '{field_id}', year {pub_year}")
     return cohort

@@ -1,5 +1,5 @@
 """Shared fixtures: the Hypothesis profile, the golden 15-publication research group,
-corpus builders and a runner for fresh interpreters."""
+corpus builders, the simulator where numpy is present, and runners for child processes."""
 from __future__ import annotations
 
 import os
@@ -80,10 +80,20 @@ def make_corpus(pubs, census_year: int = 2010) -> Corpus:
     return Corpus(tuple(pubs), census_year=census_year)
 
 
-def run_module(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    """``python <args>`` in a fresh interpreter that imports this checkout's citnorm."""
+def simulator():
+    """``citnorm.simulate``, whose draws need numpy: without numpy, the calling test skips."""
+    pytest.importorskip("numpy")
+    return citnorm.simulate
+
+
+def run_child(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """``argv`` in a child process whose Python imports this checkout's citnorm."""
     src = str(Path(citnorm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60, **kwargs)
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, **kwargs)
+
+
+def run_module(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh interpreter that imports this checkout's citnorm."""
+    return run_child(sys.executable, *args, **kwargs)

@@ -532,7 +532,7 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, tmp_path):
         (["plot", "--scores", scores, "--x", "cpp_fcsm", "--y", "mncs1",
           "--out", str(tmp_path / "scatter.svg")], {"baseline", "indicators", "report"}),
         (["correlate", "--scores", scores, "--out", str(tmp_path / "correlations.csv")],
-         {"baseline", "indicators", "corpus", "stats"}),
+         {"baseline", "indicators", "stats"}),
     ]
     for argv, modules in commands:
         imported = _imported_modules(argv)

@@ -30,10 +30,9 @@ from citnorm.corpus import (
 )
 from citnorm.errors import ValidationError
 from citnorm.indicators import score_units
-from citnorm.simulate import config_from_dict, generate_corpus
 from citnorm.stats import age_correlation_matrix, trajectory
 
-from conftest import make_corpus, make_pub
+from conftest import make_corpus, make_pub, simulator
 from test_ingest_fuzz import outcome, reference_parse
 
 
@@ -355,11 +354,12 @@ def test_round_trip_fixed(tmp_path):
 
 
 def test_a_corpus_is_its_census_year_and_its_records(tmp_path):
+    simulate = simulator()
     # seed 1 draws the years 1994, 2000 and 1991, none of them the configured first year
-    config = config_from_dict({"fields": [{"field_id": "f1", "rate": 2.0}],
-                               "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 3}],
-                               "first_year": 1990, "census_year": 2009, "seed": 1})
-    generated = generate_corpus(config)
+    config = simulate.config_from_dict({"fields": [{"field_id": "f1", "rate": 2.0}],
+                                        "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 3}],
+                                        "first_year": 1990, "census_year": 2009, "seed": 1})
+    generated = simulate.generate_corpus(config)
     assert min(generated.pub_years) > config.first_year
     write_corpus(generated, tmp_path / "corpus.jsonl")
     assert parse_corpus(tmp_path / "corpus.jsonl", 2009) == generated
@@ -385,17 +385,18 @@ def test_corpus_pickles_and_copies(tmp_path):
 
 
 def test_a_corpus_holds_its_columns_and_builds_its_publications_once(tmp_path, monkeypatch):
+    simulate = simulator()
     pubs = [make_pub(f"P{i}", year=2008, citations=i, by_year={2008: 0, 2009: i, 2010: i})
             for i in range(5)]
     write_corpus(make_corpus(pubs), tmp_path / "corpus.jsonl")
-    config = config_from_dict({"fields": [{"field_id": "f1", "rate": 2.0}],
-                               "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 5}],
-                               "first_year": 2000, "census_year": 2010, "seed": 3})
+    config = simulate.config_from_dict({"fields": [{"field_id": "f1", "rate": 2.0}],
+                                        "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 5}],
+                                        "first_year": 2000, "census_year": 2010, "seed": 3})
     builds, materialize = [], corpus_module._materialize
     monkeypatch.setattr(corpus_module, "_materialize",
                         lambda corpus: builds.append(corpus) or materialize(corpus))
     read = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010)
-    for corpus in (read, generate_corpus(config), make_corpus(pubs)):
+    for corpus in (read, simulate.generate_corpus(config), make_corpus(pubs)):
         for again in (pickle.loads(pickle.dumps(corpus)), copy.copy(corpus),
                       copy.deepcopy(corpus)):
             assert again == corpus and corpus == again
@@ -603,13 +604,14 @@ def test_select_cohort_builds_only_its_publications_in_id_order(monkeypatch):
 
 
 def test_columns_and_jsonl_keys_come_in_publication_field_order(tmp_path):
+    simulate = simulator()
     pubs = [make_pub("P2", fields=("F", "G"), units=("A", "B"), year=2009, citations=3,
                      by_year={2009: 1, 2010: 3}),
             make_pub("P1", units=(), citations=4)]
     built = make_corpus(pubs)
     write_corpus(built, tmp_path / "corpus.jsonl")
     parsed = parse_corpus(tmp_path / "corpus.jsonl", census_year=2010)
-    simulated = generate_corpus(config_from_dict({
+    simulated = simulate.generate_corpus(simulate.config_from_dict({
         "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
         "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 4}],
         "first_year": 2005, "census_year": 2010, "seed": 3}))
@@ -817,7 +819,8 @@ def test_a_materialized_view_shares_its_corpus_row():
 
 
 def test_materialized_publications_keep_at_most_200_bytes_each():
-    corpus = generate_corpus(config_from_dict({
+    simulate = simulator()
+    corpus = simulate.generate_corpus(simulate.config_from_dict({
         "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
         "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 10_000}],
         "first_year": 1999, "census_year": 2008, "seed": 5}))
@@ -884,7 +887,8 @@ def test_streamed_writer_writes_the_serializer_bytes(tmp_path, n, target):
 
 
 def test_writing_a_corpus_holds_less_than_half_its_file(tmp_path):
-    corpus = generate_corpus(config_from_dict({
+    simulate = simulator()
+    corpus = simulate.generate_corpus(simulate.config_from_dict({
         "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
         "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 20_000}],
         "first_year": 1999, "census_year": 2008, "dispersion": 0.8, "seed": 5}))

@@ -20,13 +20,15 @@ from __future__ import annotations
 import gc
 import sys
 import weakref
+from functools import partial
 
 import pytest
 
 from citnorm import corpus
 from citnorm.corpus import parse_corpus, write_corpus
 from citnorm.errors import ValidationError
-from citnorm.simulate import config_from_dict, generate_corpus
+
+from conftest import make_corpus, make_pub, simulator
 
 # each builder, and the function whose frame is on the stack while it builds: ``publications``
 # builds its tuple in _materialize, and caches it once the collector is back on
@@ -35,7 +37,7 @@ BUILDERS = {"parse_corpus": "parse_corpus", "generate_corpus": "generate_corpus"
 
 
 def make_config(rate=2.0):
-    return config_from_dict({
+    return simulator().config_from_dict({
         "fields": [{"field_id": "f1", "rate": rate}, {"field_id": "f2", "rate": 0.5}],
         "units": [{"unit_id": "u1", "quality": 1.0, "n_pubs": 3000},
                   {"unit_id": "u2", "quality": 1.4, "n_pubs": 2000}],
@@ -43,19 +45,33 @@ def make_config(rate=2.0):
 
 
 @pytest.fixture(scope="module")
-def corpus_file(tmp_path_factory):
+def records():
+    """5,000 publications of two units and two fields, 2000 to 2009, each with its by-year
+    counts to the census year 2009."""
+    pubs = []
+    for i in range(5000):
+        year = 2000 + i % 10
+        by_year = {y: (y - year) * (i % 4) for y in range(year, 2010)}
+        pubs.append(make_pub(f"{i:08d}", field=f"f{i % 2 + 1}", year=year,
+                             citations=by_year[2009], units=(f"u{(i >= 3000) + 1}",),
+                             by_year=by_year))
+    return pubs
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("gc") / "corpus.jsonl"
-    write_corpus(generate_corpus(make_config()), path)
+    write_corpus(make_corpus(records, census_year=2009), path)
     return path
 
 
 @pytest.fixture
-def build(request, corpus_file):
+def build(request, corpus_file, records):
     """The builder named by the test's parameter, as a call of no arguments, its input ready."""
-    config = make_config()
-    fresh = generate_corpus(config)  # its publications not built yet
+    if request.param == "generate_corpus":
+        return partial(simulator().generate_corpus, make_config())
+    fresh = make_corpus(records, census_year=2009)  # its publications not built yet
     return {"parse_corpus": lambda: parse_corpus(corpus_file),
-            "generate_corpus": lambda: generate_corpus(config),
             "publications": lambda: fresh.publications}[request.param]
 
 
@@ -122,7 +138,7 @@ def test_a_failed_read_leaves_the_collector_on(corpus_file, tmp_path):
 def test_a_failed_draw_leaves_the_collector_on():
     gc.unfreeze()
     with pytest.raises(ValidationError, match="^unit 'u1': cannot draw citations: ") as raised:
-        generate_corpus(make_config(rate=1e308))  # no Poisson mean is that large
+        simulator().generate_corpus(make_config(rate=1e308))  # no Poisson mean is that large
     assert gc.isenabled() and gc.get_freeze_count() == 0
     assert id(raised.value) not in oldest_generation()
 
@@ -189,7 +205,7 @@ def test_a_paused_collector_stays_paused(build):
 
 
 def test_the_builders_leave_no_cyclic_garbage(corpus_file):
-    config = make_config()
+    config, generate_corpus = make_config(), simulator().generate_corpus
     gc.collect()
     gc.disable()
     try:

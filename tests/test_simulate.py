@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import re
 import runpy
+import sys
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import citnorm.simulate as simulate_module
-from citnorm.corpus import Corpus, Publication, corpus_to_jsonl
+from citnorm.corpus import Corpus, Publication, corpus_to_jsonl, parse_corpus
 from citnorm.errors import ValidationError
 from citnorm.simulate import (
     FieldSpec,
@@ -25,6 +27,8 @@ from citnorm.simulate import (
     load_config,
     write_simulated,
 )
+
+from conftest import run_child, run_module
 
 
 def one_field_config(rate=3.0, n_pubs=1000, dispersion=0.0, seed=42,
@@ -45,6 +49,26 @@ def test_same_config_same_bytes():
     b = generate_corpus(config)
     assert a == b
     assert corpus_to_jsonl(a) == corpus_to_jsonl(b)
+
+
+def test_integer_and_float_config_numbers_simulate_the_same_corpus(tmp_path):
+    # the config reader passes JSON numbers on as they are, with no float(): 2 and 2.0 must
+    # draw the same citations, in the corpus built whole and in the one written block by block
+    simulated = []
+    for one, two in ((1, 2), (1.0, 2.0)):
+        path = tmp_path / f"{type(one).__name__}.json"
+        path.write_text(json.dumps({
+            "fields": [{"field_id": "f1", "rate": two}, {"field_id": "f2", "rate": 0.5}],
+            "units": [{"unit_id": "u1", "quality": one, "n_pubs": 60},
+                      {"unit_id": "u2", "quality": 1.4, "n_pubs": 40}],
+            "first_year": 2000, "census_year": 2009, "seed": 5,
+            "dispersion": one, "same_year_damping": one}), encoding="utf-8")
+        config = load_config(path)
+        assert type(config.units[0].quality) is type(one)
+        write_simulated(config, path.with_suffix(".jsonl"))
+        simulated.append((corpus_to_jsonl(generate_corpus(config)),
+                          path.with_suffix(".jsonl").read_text(encoding="utf-8")))
+    assert simulated[0] == simulated[1]
 
 
 def test_seed_changes_counts_but_not_shape():
@@ -164,16 +188,28 @@ COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_indi
                  id="compare-roster"),
 ])
 def test_units_larger_than_a_block_simulate_the_pinned_corpus(tmp_path, config, length, digest):
-    # the streamed writer, which never holds the corpus, writes the same bytes
+    # the streamed writer, which never holds the corpus, writes the same bytes: through the
+    # temporary file, also where /dev/stdout is a file, and in place behind a pipe; and they
+    # read back as the corpus they write
     assert simulate_module._BLOCK_PUBS == 2048
     config = config()
     text = corpus_to_jsonl(generate_corpus(config))
     assert len(text) == length
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    write_simulated(config, tmp_path / "corpus.jsonl")
-    written = (tmp_path / "corpus.jsonl").read_bytes()
+    path, config_path = tmp_path / "corpus.jsonl", tmp_path / "config.json"
+    write_simulated(config, path)
+    written = path.read_bytes()
     assert len(written) == length
     assert hashlib.sha256(written).hexdigest() == digest
+    assert corpus_to_jsonl(parse_corpus(path)) == text
+    config_path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+    argv = ("-m", "citnorm", "simulate", "--config", str(config_path), "--out", "/dev/stdout")
+    piped = run_module(*argv)
+    assert (piped.returncode, piped.stderr) == (0, "") and piped.stdout == text
+    redirected = run_child("sh", "-c", '"$@" > redirected.jsonl', "sh", sys.executable, *argv,
+                           cwd=tmp_path)
+    assert (redirected.returncode, redirected.stderr) == (0, "")
+    assert (tmp_path / "redirected.jsonl").read_bytes() == written
 
 
 @pytest.mark.parametrize("start, stop", [
@@ -451,8 +487,6 @@ class TestConfigValidation:
             "seed": 77,
         }
         path = tmp_path / "config.json"
-        import json
-
         path.write_text(json.dumps(obj))
         config = load_config(path)
         assert config == config_from_dict(obj)

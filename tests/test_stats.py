@@ -23,7 +23,7 @@ from citnorm.stats import (
 )
 from citnorm.indicators import UnitScore
 
-from conftest import make_corpus, make_pub
+from conftest import make_corpus, make_pub, simulator
 
 
 # --- independent oracles -------------------------------------------------
@@ -405,16 +405,15 @@ class TestTrajectory:
     def test_simulated_linear_cohort(self):
         # cohort mean k full years after publication tracks 3k (the damped
         # first year contributes only 0.3)
-        from citnorm.simulate import FieldSpec, SimulationConfig, UnitSpec, generate_corpus
-
-        config = SimulationConfig(
-            fields=(FieldSpec("f", 3.0),),
-            units=(UnitSpec("u", 1.0, 12_000),),
+        simulate = simulator()
+        config = simulate.SimulationConfig(
+            fields=(simulate.FieldSpec("f", 3.0),),
+            units=(simulate.UnitSpec("u", 1.0, 12_000),),
             first_year=1999,
             census_year=2008,
             seed=6,
         )
-        corpus = generate_corpus(config)
+        corpus = simulate.generate_corpus(config)
         cohort = [p for p in corpus if p.pub_year == 1999]
         assert len(cohort) >= 1000
         traj = trajectory(cohort, "f", 1999)
