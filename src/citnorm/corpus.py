@@ -24,26 +24,6 @@ A ``citations_by_year`` key is a year as ``str(int(key))`` writes it: ``" 2008"`
 or ``"02008"`` is rejected, not read as 2008. Unknown keys are rejected by name.
 Publications are kept in ascending id order everywhere, so every listing of
 them, written or returned, comes in one order.
-
-:func:`parse_corpus` reads a file as a stream and takes every record through one
-ordered pass of checks, the first fault ending the read with its line number:
-the line's UTF-8 and JSON; the raw record's shape (an object, unknown keys,
-missing keys, array id lists, a string ``doc_type``, the by-year object and
-its keys); the values, through the same two checks that :class:`Publication`
-makes (:func:`_check_ids`, :func:`_check_counts`). Once all lines are read and
-the census year is known (when not given, the largest year the records carry),
-:func:`_checked_columns` checks them as for ``Corpus(publications)``, ids first.
-
-A :class:`Corpus` holds one column per fact, in the order above, not one object per
-record. :class:`Publication` objects are built from the columns only where a caller
-asks for them, each ``citations_by_year`` a read-only :class:`CitationsByYear` over its row.
-That build, :func:`parse_corpus` and the simulator's ``generate_corpus`` pause the cyclic
-collector and leave their records in its oldest generation; on CPython 3.12 they only pause,
-as the immortal objects its collections move to the permanent generation count as a freeze.
-
-Every file citnorm writes goes through :func:`_files._write_text`, whole or not at all, as text
-pieces: a corpus as pieces of ``_CHUNK_LINES`` lines, so no write holds its whole text. An id
-holding a lone surrogate (a ``"\\ud800"`` escape) is an error only there, as UTF-8 cannot hold it.
 """
 from __future__ import annotations
 
@@ -399,8 +379,18 @@ def select_cohort(corpus: Corpus, field_id: str, pub_year: int) -> Corpus:
     ])
 
 
+def _key_fault(obj: dict, known, required: Iterable, where: str = "") -> ValidationError | None:
+    """The fault naming ``obj``'s first unknown key, else its first missing one; None if neither."""
+    for key in obj:
+        if key not in known:
+            return ValidationError(f"unknown key '{key}'{where}")
+    for key in required:
+        if key not in obj:
+            return ValidationError(f"missing key '{key}'{where}")
+
+
 class _RecordReader:
-    """Column values of the records of one file, each checked once in the module's order.
+    """Column values of the records of one file, each record checked once.
 
     :meth:`read` raises a record's first fault. What repeats across records is
     done once per file: each distinct unit or field id list is checked once and
@@ -423,13 +413,11 @@ class _RecordReader:
         if type(obj) is not dict:
             raise ValidationError("expected a JSON object")
         if not _ALL_KEYS.issuperset(obj):
-            unknown = next(key for key in obj if key not in _ALL_KEYS)
-            raise ValidationError(f"unknown key '{unknown}'")
+            raise _key_fault(obj, _ALL_KEYS, _REQUIRED_KEYS)
         try:
             pid, units, fields, year, doc_type, total = _required_values(obj)
         except KeyError:
-            missing = next(key for key in _REQUIRED_KEYS if key not in obj)
-            raise ValidationError(f"missing key '{missing}'") from None
+            raise _key_fault(obj, _ALL_KEYS, _REQUIRED_KEYS) from None
         if type(units) is not list or type(fields) is not list:
             raise ValidationError("unit_ids and field_ids must be arrays")
         if type(doc_type) is not str:
@@ -480,10 +468,10 @@ class _RecordReader:
 
 
 def _json_line(line: str):
-    """``json.loads`` of one line, or of a batch of lines, its faults as :class:`ValidationError`.
+    """``json.loads`` of a line, a batch of lines or a config, faults as :class:`ValidationError`.
 
     The file is decoded with ``surrogateescape``, so a byte that is not UTF-8
-    arrives here as a lone surrogate, which no valid line holds.
+    arrives here as a lone surrogate, which no valid text holds.
     """
     if not line.isascii():
         try:

@@ -19,26 +19,10 @@ field assignments are drawn from a stream with a fixed internal seed, so
 changing only ``seed`` changes the realized citation counts but leaves the
 corpus shape (ids, years, fields) untouched; that makes across-seed
 comparisons well-defined.
-
-Every fact a :class:`~citnorm.corpus.Publication` and a
-:class:`~citnorm.corpus.Corpus` check holds by construction here or is checked
-once on the drawn arrays, so the corpus's columns are filled without
-re-checking each record, and no ``Publication`` is built: years come from the
-configured span, by-year counts run from the publication year to the census
-year and end at the total, ids are zero-padded serials in increasing order (one
-padded prefix per thousand serials, joined to each of the 1,000 three-digit
-tails), and the increments are checked to be non-negative and their totals to
-stay within 2**53 - 1 (for a block whose largest increment times its years is
-within that bound, two reductions suffice). One loop, ``_drawn_blocks``, draws ``_BLOCK_PUBS`` publications at a time,
-which bounds peak memory: :func:`generate_corpus` gathers the blocks, :func:`write_simulated`
-writes each as it is drawn. Poisson takes its means in row order, one by one, and nothing
-from the stream for a zero mean, so the corpus is the one a single draw per unit gives,
-whatever the block size.
 """
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import sys
 from itertools import repeat
@@ -48,7 +32,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._files import _MAX_CITATIONS, _write_text
-from .corpus import _COLUMNS, Corpus, _gc_paused, _jsonl_pieces
+from .corpus import _COLUMNS, Corpus, _gc_paused, _json_line, _jsonl_pieces, _key_fault
 from .errors import ValidationError
 
 # Shape stream seed; independent of config.seed by design (see module docs).
@@ -156,12 +140,9 @@ def _json_object(obj, spec_type, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
     defaults = {attr.name: attr.default for attr in dataclasses.fields(spec_type)}
-    for key in obj:
-        if key not in defaults:
-            raise ValueError(f"unknown key '{key}' in {where}")
-    for key, default in defaults.items():
-        if default is dataclasses.MISSING and key not in obj:
-            raise KeyError(key)
+    if fault := _key_fault(obj, defaults, [key for key, default in defaults.items()
+                                           if default is dataclasses.MISSING], f" in {where}"):
+        raise fault
     return obj
 
 
@@ -174,19 +155,16 @@ def config_from_dict(obj: dict) -> SimulationConfig:
                  for key, spec_type in (("fields", FieldSpec), ("units", UnitSpec))
                  if type(obj[key]) is list}  # SimulationConfig names any other value
         return SimulationConfig(**{**obj, **specs})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad simulation config: {exc}") from None
 
 
 def load_config(path: str | Path) -> SimulationConfig:
-    """Read a JSON config file mirroring the SimulationConfig field names."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except ValueError as exc:  # not JSON, not UTF-8, or an integer beyond int's digit limit
-            raise ValidationError(f"malformed config JSON: {getattr(exc, 'msg', exc)}") from None
-        except RecursionError:
-            raise ValidationError("malformed config JSON: nesting too deep") from None
+    """Read a JSON config mirroring the SimulationConfig field names, decoded as a corpus line."""
+    try:
+        obj = _json_line(Path(path).read_text(encoding="utf-8", errors="surrogateescape"))
+    except ValidationError as exc:
+        raise ValidationError(f"bad simulation config: {exc}") from None
     return config_from_dict(obj)
 
 
@@ -208,7 +186,8 @@ def _drawn_blocks(config: SimulationConfig) -> Iterator[tuple[Iterable, ...]]:
     Ids come from :func:`_ids`. A publication ``p`` years after ``first_year`` reads row
     ``p`` of two (years x years) tables built once per config: its Poisson means are its
     lambda times the weight row, and its counts are its cumulative draws over the years
-    the mask row keeps, its publication year to the census year, the last its total.
+    the mask row keeps, its publication year to the census year, the last its total. Poisson
+    takes the means in row order, drawing nothing for a zero mean: any block size gives one corpus.
     """
     shape_rng = np.random.default_rng(_SHAPE_SEED)
     count_rng = np.random.default_rng(config.seed)

@@ -14,8 +14,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from citnorm.baseline import compute_baselines
 from citnorm.cli import main

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+pytest.importorskip("numpy")  # the CLI fixtures and most tests here run citnorm simulate
+
 import citnorm.cli as cli_module
 from citnorm.cli import _build_parser, main
 from citnorm.corpus import Corpus, Publication, corpus_to_jsonl, write_corpus
@@ -489,7 +491,7 @@ def test_config_integer_beyond_digit_limit_is_one_line_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "c.jsonl")])
     err = capsys.readouterr().err.splitlines()
     assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: malformed config JSON: "), err
+    assert len(err) == 1 and err[0].startswith("error: bad simulation config: "), err
 
 
 def test_census_inferring_run_reads_each_line_once(workdir, tmp_path, monkeypatch):
@@ -627,7 +629,7 @@ def test_deeply_nested_config_is_one_line_error(tmp_path, capsys):
     config_path.write_text(json.dumps(CONFIG).replace('"seed": 11', '"seed": ' + "[" * 100_000))
     code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "c.jsonl")])
     assert code == 1
-    assert capsys.readouterr().err == "error: malformed config JSON: nesting too deep\n"
+    assert capsys.readouterr().err == "error: bad simulation config: malformed JSON: nesting too deep\n"
 
 
 SCORES_CSV = (b"unit_id,n_total,n_mncs2,n_excluded_zero_e,cpp_fcsm,mncs1,mncs2\n"
@@ -881,15 +883,28 @@ def test_score_of_an_empty_units_list_is_one_line_error(workdir, tmp_path, capsy
     # a repeated id would draw both specs' records under that one id
     ("fields", {"field_id": "slow", "rate": 9.0}, "field 'slow' is listed twice"),
     ("units", CONFIG["units"][1], "unit 'u_mid' is listed twice"),
+    # a key fault names the key and where it is missing; a None value leaves the key out
+    pytest.param("fields", None, "missing key 'fields' in the config", id="no-fields"),
+    pytest.param("fields", {"rate": 9.0}, "missing key 'field_id' in fields[0]", id="no-field-id"),
+    # bytes are the seed's literal as written: its fault reads as in a corpus line
+    pytest.param(None, b"\xff", "not valid UTF-8", id="not-utf8"),
+    pytest.param(None, b"1" * 5001,
+                 f"integer literal longer than {sys.get_int_max_str_digits()} digits",
+                 id="over-long-integer"),
 ])
 def test_config_out_of_range_is_one_line_error(tmp_path, capsys, section, value, message):
     config = json.loads(json.dumps(CONFIG))
-    if section is None:
-        config["seed"] = value
-    else:
+    if value is None:
+        del config[section]
+    elif section is not None:
         config[section][0] = value
+    elif type(value) is not bytes:
+        config["seed"] = value
+    data = json.dumps(config).encode()
+    if type(value) is bytes:
+        data = data.replace(b'"seed": 11', b'"seed": ' + value)
     config_path, out = tmp_path / "config.json", tmp_path / "c.jsonl"
-    config_path.write_text(json.dumps(config))
+    config_path.write_bytes(data)
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: bad simulation config: {message}"]
     assert not out.exists()

@@ -13,10 +13,13 @@ import io
 import json
 from contextlib import redirect_stderr
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from citnorm.cli import main
 from citnorm.corpus import parse_corpus
+
+pytest.importorskip("numpy")  # every example runs citnorm simulate
 
 CONFIG = json.dumps({
     "fields": [{"field_id": "f1", "rate": 2.5}, {"field_id": "é2", "rate": 0.5}],

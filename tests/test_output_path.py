@@ -21,7 +21,7 @@ from citnorm.cli import main
 from citnorm.errors import ValidationError
 from citnorm.indicators import UnitScore, write_scores
 
-from conftest import run_module
+from conftest import run_module, simulator
 
 CONFIG = {
     "fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
@@ -41,6 +41,7 @@ PREVIOUS = b"previous output\n"
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> Path:
     """A config, the corpus it simulates and that corpus's scores."""
+    simulator()
     path = tmp_path_factory.mktemp("inputs")
     (path / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     assert main(["simulate", "--config", str(path / "config.json"),

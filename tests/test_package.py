@@ -8,7 +8,7 @@ import pytest
 
 import citnorm
 
-from conftest import run_module
+from conftest import run_module, simulator
 
 PUBLIC_NAMES = [
     "AgeCorrelationMatrix", "BaselineCell", "BaselineTable", "ConsistencyWitness", "Corpus",
@@ -50,16 +50,19 @@ def test_only_the_simulate_names_load_numpy():
     loaded = _fresh(f"[getattr(citnorm, name) for name in {names!r}]\n{LOADED}")
     assert "numpy" not in loaded and "citnorm.simulate" not in loaded
     assert "citnorm.stats" in loaded
+    simulator()
     assert "numpy" in _fresh(f"citnorm.generate_corpus\n{LOADED}")
 
 
 def test_a_submodule_resolves_after_a_bare_import():
+    simulator()
     assert _fresh("print(json.dumps([citnorm.stats.pearson([1, 2, 3], [2, 4, 6]),"
                   f" [getattr(citnorm, m).__name__ for m in {SUBMODULES!r}]]))") == [
         1.0, [f"citnorm.{m}" for m in SUBMODULES]]
 
 
 def test_every_name_is_the_object_its_module_defines():
+    simulator()
     modules = [importlib.import_module(f"citnorm.{m}") for m in SUBMODULES]
     for name in PUBLIC_NAMES:
         held = [vars(module)[name] for module in modules if name in vars(module)]

@@ -14,9 +14,13 @@ import shlex
 import sys
 from pathlib import Path
 
+import pytest
+
 from citnorm.cli import main
 
 from conftest import run_child, run_module
+
+pytest.importorskip("numpy")  # each example runs citnorm simulate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CONFIG = {"fields": [{"field_id": "f1", "rate": 2.0}, {"field_id": "f2", "rate": 0.5}],
